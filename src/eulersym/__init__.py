@@ -2,16 +2,15 @@
 projective models they generate."""
 
 from .errors import (AlgebraError, ContextMismatchError, DegreeCapExceeded,
-                     HomogeneityError, ImmersionError, InsufficientSamplesError,
-                     InvalidSymbolSystem, ParseError, SaturationPreconditionError,
-                     TruncationError)
+                     HomogeneityError, ImmersionError, InvalidSymbolSystem,
+                     ParseError, SaturationPreconditionError, TruncationError)
 from .groebner import (GroebnerBasis, buchberger, graded_component,
                        is_zero_dimensional, saturate_ideal)
 from .jets import (CartanReport, FFSystem, JetFiltration, Parametrization,
                    cartan_check, extract_fundamental_forms, jet_filtration)
 from .model import (EulerModel, ProjectivePoint, build_model, euler_act,
                     group_act, implicitize, orbit_curve_degree, phi_eval,
-                    recover_symbols)
+                    pullback, recover_symbols)
 from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VarContext,
                    block_order, compose_linear, context, contract, evaluate,
                    format_polynomial, polarize, translate)

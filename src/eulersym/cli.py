@@ -28,7 +28,6 @@ from . import sampling
 from .errors import (
     DegreeCapExceeded,
     ImmersionError,
-    InsufficientSamplesError,
     InvalidSymbolSystem,
     ParseError,
     TruncationError,
@@ -43,6 +42,7 @@ from .model import (
     implicitize,
     orbit_curve_degree,
     phi_eval,
+    pullback,
     random_ambient_point,
 )
 from .poly import Polynomial, format_polynomial
@@ -118,7 +118,14 @@ def _read_source(arg: str) -> tuple[str, str, str]:
         raise FileNotFoundError(
             f"{arg}: not a file and not a bundled example "
             f"(try 'eulersym examples')")
-    return name, data.decode(), hashlib.sha256(data).hexdigest()[:12]
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{name} is not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line, col) from None
+    return name, text, hashlib.sha256(data).hexdigest()[:12]
 
 
 def _load_system(arg: str, report: Report) -> SymbolSystem | None:
@@ -355,22 +362,22 @@ def cmd_curve_degrees(args) -> int:
 
 
 def cmd_implicitize(args) -> int:
-    report = Report("implicitize", seed=args.seed)
+    report = Report("implicitize")
     system = _load_system(args.file, report)
     if system is None:
         return report.emit(args.json)
     model = build_model(system)
-    try:
-        space = implicitize(model, args.degree, samples=args.samples, seed=args.seed)
-    except InsufficientSamplesError as exc:
-        report.add("fail", "relations", str(exc))
-        return report.emit(args.json)
+    space = implicitize(model, args.degree)
     report.add("info", "relations",
                f"forms of degree {args.degree} vanishing on the model: dim {space.dim}")
     for i, b in enumerate(space.basis, start=1):
         report.add("info", f"generator-{i}", format_polynomial(b))
-    report.add("pass", "verification",
-               "every generator vanishes at a fresh batch of image points")
+    bad = [i for i, b in enumerate(space.basis, start=1)
+           if not pullback(model, b).is_zero()]
+    report.add("fail" if bad else "pass", "verification",
+               "not zero on the chart: " + ", ".join(f"generator-{i}" for i in bad)
+               if bad else
+               "every generator pulls back through the chart to the zero polynomial")
     return report.emit(args.json)
 
 
@@ -503,12 +510,9 @@ def cmd_report(args) -> int:
                for _ in range(40)]
     report.add("pass" if max(degrees) == system.rank else "fail", "max-degree",
                f"largest sampled orbit degree {max(degrees)}, rank {system.rank}")
-    try:
-        space = implicitize(model, 2, seed=args.seed)
-        report.add("info", "relations",
-                   f"degree-2 forms vanishing on the model: dim {space.dim}")
-    except InsufficientSamplesError as exc:
-        report.add("fail", "relations", str(exc))
+    space = implicitize(model, 2)
+    report.add("info", "relations",
+               f"degree-2 forms vanishing on the model: dim {space.dim}")
     param = _chart_extraction_matches(system, report)
     cr = cartan_check(param, trials=3, seed=args.seed)
     report.add("pass" if cr.passed else "fail", "cartan",
@@ -531,6 +535,19 @@ def cmd_examples(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _count(least: int):
+    """argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,21 +593,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("act-check", cmd_act_check,
             "verify the translation and torus actions on random input")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count(1), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("curve-degrees", cmd_curve_degrees,
             "orbit-curve degrees along sampled directions")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--trials", type=_count(1), default=40)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("implicitize", cmd_implicitize,
             "forms of a given degree vanishing on the model")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--degree", type=_count(0), required=True)
 
     p = add("ff", cmd_ff, "jet filtration and fundamental forms at a point")
     p.add_argument("file", help="a parametrization file, or a system file "
@@ -609,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", action="store_true",
                    help="treat the input as a system file and use the "
                         "graph chart of its model")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_count(1), default=5)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("report", cmd_report, "consolidated battery on a system file")

@@ -40,10 +40,6 @@ class DegreeCapExceeded(RuntimeError):
     """Basis completion hit the configured degree ceiling."""
 
 
-class InsufficientSamplesError(RuntimeError):
-    """An interpolated space failed verification at fresh sample points."""
-
-
 class ParseError(ValueError):
     """Input text rejected, with 1-based line and column of the offense."""
 

@@ -49,7 +49,6 @@ class JetFiltration:
     context: VarContext
     base_point: tuple[Fraction, ...]
     rows: tuple[tuple[int, Polynomial], ...]  # (vanishing order, reduced row)
-    chart_matrix: tuple[tuple[Fraction, ...], ...]  # re-coordinatization applied
 
     @property
     def max_order(self) -> int:
@@ -127,8 +126,7 @@ def jet_filtration(param: Parametrization,
             raise TruncationError(
                 f"truncation degree {cap} is too small: the filtration only "
                 f"stabilizes at degree {worst}")
-    return JetFiltration(ctx, base, tuple(out),
-                         tuple(tuple(r) for r in lin))
+    return JetFiltration(ctx, base, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ block f^k the translation acts by
 
 evaluated here against the chosen bases, so the whole action is a
 matter of contraction chains and exact dot products.
+
+The torus acts with weight k on block k, so the ideal of the model is
+graded by torus weight: `implicitize` finds its degree-d piece as a
+direct sum of small exact kernels, one per weight, with no sampling.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from math import comb
 from typing import Sequence
 
 from . import sampling
-from .errors import InsufficientSamplesError
 from .poly import Polynomial, VarContext, contract, evaluate
-from .spaces import FormSpace, monomials_of_degree, vanishing_space
+from .spaces import FormSpace, monomials_of_degree, nullspace
 from .systems import SymbolSystem, assemble
 
 
@@ -170,10 +173,6 @@ def orbit_curve_degree(model: EulerModel, w: Sequence) -> int:
     return 1
 
 
-def orbit_degree_profile(model: EulerModel, directions: Sequence[Sequence]) -> list[int]:
-    return [orbit_curve_degree(model, w) for w in directions]
-
-
 def recover_symbols(model: EulerModel) -> SymbolSystem:
     """Re-read the graded system from the chart coordinate functions."""
     ctx = model.system.context
@@ -199,29 +198,55 @@ def random_image_point(model: EulerModel, rng: random.Random) -> ProjectivePoint
     return phi_eval(model, t, w)
 
 
-def implicitize(model: EulerModel, degree: int, samples: int | None = None,
-                seed: int = 0) -> FormSpace:
-    """Degree-d forms vanishing on the model, by exact interpolation.
+def pullback(model: EulerModel, p: Polynomial) -> Polynomial:
+    """p(1, w, b^2(w), ..., b^r(w)): an ambient form on the t = 1 chart."""
+    ctx = model.system.context
+    charts = [Polynomial.constant(ctx, 1)] + model.chart_functions()
+    out = Polynomial.zero(ctx)
+    for expo, coeff in p.terms.items():
+        term = Polynomial.constant(ctx, coeff)
+        for f, e in zip(charts, expo):
+            if e:
+                term = term * f**e
+        out = out + term
+    return out
 
-    Seeded random image points give linear conditions; the kernel is
-    then re-verified at twice as many fresh image points, and a failed
-    verification raises instead of returning an undertrained space.
+
+def implicitize(model: EulerModel, degree: int) -> FormSpace:
+    """Degree-d forms vanishing on the model, as exact torus-weight kernels.
+
+    Write f = (1, w, b^2, ..., b^r) for the chart functions, of weights
+    0, 1, ..., r.  Under phi(t, w) a degree-d ambient monomial m of weight
+    e = sum wt_j m_j pulls back to t^(rd-e) prod f_j^(m_j), and that
+    product is a form of degree e in w.  Monomials of different weights
+    therefore cannot cancel, and a form vanishes on the model exactly
+    when each weight part does: I(X)_d is the direct sum over e of the
+    kernels of the coefficient matrices of the pullbacks of weight e.
     """
-    monos = monomials_of_degree(model.ambient, degree)
-    need = len(monos)
-    if samples is None:
-        samples = need + 5
-    if samples < need:
-        raise ValueError(
-            f"{samples} samples cannot pin down {need} monomial coefficients")
-    rng = random.Random(seed)
-    points = [random_image_point(model, rng) for _ in range(samples)]
-    space = vanishing_space(model.ambient, degree, [p.coords for p in points])
-    fresh = [random_image_point(model, rng) for _ in range(2 * samples)]
-    for g in space.basis:
-        for p in fresh:
-            if evaluate(g, p.coords):
-                raise InsufficientSamplesError(
-                    f"degree-{degree} interpolation failed verification; "
-                    "rerun with more samples")
-    return space
+    ctx = model.system.context
+    charts = [Polynomial.constant(ctx, 1)] + model.chart_functions()
+    wt = [k for k, (start, stop) in enumerate(model.block_bounds)
+          for _ in range(start, stop)]
+    groups: dict[int, list] = {}
+    for m in monomials_of_degree(model.ambient, degree):
+        groups.setdefault(sum(w * e for w, e in zip(wt, m)), []).append(m)
+    products = {(0,) * model.ambient_dim: charts[0]}
+
+    def product(m):
+        # prod f_j^(m_j), built from the product with one factor fewer
+        if m not in products:
+            j = next(j for j, e in enumerate(m) if e)
+            products[m] = product(m[:j] + (m[j] - 1,) + m[j + 1:]) * charts[j]
+        return products[m]
+
+    relations = []
+    for monos in groups.values():
+        if len(monos) < 2:
+            continue  # a single product of nonzero forms is nonzero
+        images = [product(m) for m in monos]
+        support = sorted({e for p in images for e in p.terms})
+        rows = [[p.coefficient(e) for p in images] for e in support]
+        for vec in nullspace(rows, len(monos)):
+            relations.append(Polynomial(
+                model.ambient, {m: c for m, c in zip(monos, vec) if c}))
+    return FormSpace.span(relations, model.ambient, degree)

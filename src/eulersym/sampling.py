@@ -32,13 +32,6 @@ def vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(rational(rng) for _ in range(n))
 
 
-def nonzero_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    while True:
-        v = vector(rng, n)
-        if any(v):
-            return v
-
-
 def generic_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     """Every coordinate nonzero; a stand-in for a general point."""
     return tuple(nonzero_rational(rng) for _ in range(n))

@@ -252,11 +252,6 @@ def intersect_spaces(s: FormSpace, t: FormSpace) -> FormSpace:
     return FormSpace.span(polys, s.context, s.degree)
 
 
-def spaces_equal(s: FormSpace, t: FormSpace) -> bool:
-    _check_compatible(s, t)
-    return s.basis == t.basis
-
-
 def kernel_of_map(ctx: VarContext, degree: int,
                   images: Mapping[Monomial, Sequence[Sequence[Fraction]]]) -> FormSpace:
     """Forms of the given degree killed by a linear map described on monomials.

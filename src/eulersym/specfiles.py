@@ -285,6 +285,9 @@ def _parse_rational_list(payload: str, lineno: int, col: int) -> tuple[Fraction,
         at = offset + (len(chunk) - len(chunk.lstrip()))
         if not _RATIONAL_RE.match(stripped):
             raise ParseError(f"expected a rational number, found {stripped!r}", lineno, at)
+        num, _, den = stripped.partition("/")
+        if den and int(den) == 0:
+            raise ParseError("zero denominator", lineno, at + len(num) + 1)
         out.append(Fraction(stripped))
         offset += len(chunk) + 1
     return tuple(out)

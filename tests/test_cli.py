@@ -8,7 +8,10 @@ from eulersym.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the invocation
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -105,6 +108,55 @@ def test_implicitize(capsys):
     assert code == 0
     assert "dim 1" in out
     assert "[info] generator-1: z1*z2 - z0*u2_1" in out
+
+
+def test_implicitize_verification_is_exact(capsys):
+    code, out, _ = run(capsys, "implicitize", "epr.sys", "--degree", "2")
+    assert code == 0
+    assert "seed:" not in out
+    assert ("[pass] verification: every generator pulls back through the chart "
+            "to the zero polynomial") in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["implicitize", "quadric.sys", "--degree", "-1"],
+    ["act-check", "quadric.sys", "--trials", "-1"],
+    ["act-check", "quadric.sys", "--trials", "0"],
+    ["curve-degrees", "epr.sys", "--trials", "0"],
+    ["cartan", "quadric.par", "--trials", "0"],
+    ["cartan", "quadric.par", "--trials", "-2"],
+])
+def test_bad_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+BAD_FILES = {
+    "zero-denominator-at": ("bad.par", b"vars: z\ncoords: z, z^2\nat: 1/0\n",
+                            ["ff", "FILE"], "line 3, col 7: zero denominator"),
+    "zero-denominator-points": ("pts.txt", b"0, 1, 0\n1/0, 1, 1\n",
+                                ["saturated", "epr.sys", "--points", "FILE"],
+                                "line 2, col 3: zero denominator"),
+    "non-utf8-system": ("bad.sys", b"vars: x1 x2\nrank: 2\nF2: x1\xff*x2\n",
+                        ["validate", "FILE"], "line 3, col 7: bad.sys is not UTF-8"),
+    "non-utf8-points": ("pts.txt", b"\xfe0, 1, 0\n",
+                        ["saturated", "epr.sys", "--points", "FILE"],
+                        "line 1, col 1: pts.txt is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_input_files_exit_2(tmp_path, capsys, case):
+    filename, data, argv, message = BAD_FILES[case]
+    path = tmp_path / filename
+    path.write_bytes(data)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_ff_flex_demonstration(capsys):

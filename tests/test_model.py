@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from eulersym import (
     Polynomial,
     ProjectivePoint,
+    assemble,
     build_model,
+    compose_linear,
     context,
     euler_act,
     full_system,
@@ -16,12 +19,15 @@ from eulersym import (
     implicitize,
     orbit_curve_degree,
     phi_eval,
+    pullback,
     recover_symbols,
     system_from_file,
 )
 from eulersym import sampling
 from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point, random_image_point
+
+from helpers import sampled_implicitize
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -138,10 +144,66 @@ def test_implicitize_degree_one_is_zero_for_nondegenerate_models():
 
 
 def test_implicitize_needs_enough_samples():
-    # fewer samples than monomials cannot pin the space down at all
+    # fewer samples than monomials cannot pin the space down at all; the
+    # sampled interpolator survives only as the oracle below
     model = build_model(_bundled("quadric.sys"))
     with pytest.raises(ValueError):
-        implicitize(model, 2, samples=3)
+        sampled_implicitize(model, 2, samples=3)
+
+
+def _monomial_frame(system, seed):
+    """The system after the seeded substitution x_i -> s_i * x_perm(i)."""
+    rng = random.Random(seed)
+    n = system.context.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    matrix = [[rng.choice([-3, -2, -1, 2, 3]) if j == perm[i] else 0
+               for j in range(n)] for i in range(n)]
+    graded = {k: [compose_linear(b, matrix) for b in system.component(k).basis]
+              for k in range(2, system.rank + 1)}
+    return assemble(system.context, system.rank, graded)
+
+
+ORACLE_CASES = (
+    [(name, frame, d) for name in BUNDLED for frame in ("shipped", "monomial")
+     for d in (0, 1, 2)]
+    + [(f"full_{n}_{r}", "shipped", d) for n, r in ((1, 3), (2, 2), (2, 3), (3, 2))
+       for d in (0, 1, 2)]
+    + [(name, "shipped", 3) for name in ("quadric.sys", "rnc.sys", "veronese.sys")]
+)
+
+
+@pytest.mark.parametrize("name,frame,degree", ORACLE_CASES)
+def test_implicitize_matches_the_sampled_oracle(name, frame, degree):
+    if name.startswith("full"):
+        system = full_system(*map(int, name.split("_")[1:]))
+    else:
+        system = _bundled(name)
+    if frame == "monomial":
+        system = _monomial_frame(system, name)
+    model = build_model(system)
+    space = implicitize(model, degree)
+    assert space == sampled_implicitize(model, degree)
+    assert all(pullback(model, g).is_zero() for g in space.basis)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_implicitize_full_system_dimension_closed_form(n, r, degree):
+    # the model of full(n, r) is the r-th Veronese embedding of P^n in P^N,
+    # whose coordinate ring has dim C(n + r*d, n) in degree d
+    big_n = comb(n + r, n) - 1
+    model = build_model(full_system(n, r))
+    assert model.ambient_dim == big_n + 1
+    expected = comb(big_n + degree, degree) - comb(n + r * degree, n)
+    assert implicitize(model, degree).dim == expected
+
+
+def test_pullback_of_a_non_relation_is_nonzero():
+    model = build_model(_bundled("quadric.sys"))
+    z0, z1 = (Polynomial.variable(model.ambient, i) for i in range(2))
+    x1 = Polynomial.variable(model.system.context, 0)
+    assert pullback(model, z0 * z1 - z1 * z1) == x1 - x1 * x1
 
 
 def test_moment_curve():
