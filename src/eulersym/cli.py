@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import sampling
 from .errors import (
+    AlgebraError,
     DegreeCapExceeded,
     ImmersionError,
     InvalidSymbolSystem,
@@ -176,12 +177,12 @@ def cmd_prolong(args) -> int:
     system = _load_system(args.file, report)
     if system is None:
         return report.emit(args.json)
+    if args.degree is not None and args.degree > system.rank:
+        print(f"error: --degree {args.degree} is out of range 1..{system.rank}",
+              file=sys.stderr)
+        return 2
     degrees = [args.degree] if args.degree is not None else list(range(1, system.rank + 1))
     for k in degrees:
-        if not 1 <= k <= system.rank:
-            report.add("fail", f"prolong-F{k}",
-                       f"degree out of range 1..{system.rank}")
-            continue
         p = prolong(system.component(k))
         report.add("info", f"prolong-F{k}", f"dim {p.dim} = {_span(p)}")
         nxt = system.component(k + 1)
@@ -294,15 +295,9 @@ def cmd_model(args) -> int:
     return report.emit(args.json)
 
 
-def cmd_act_check(args) -> int:
-    report = Report("act-check", seed=args.seed)
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
-    model = build_model(system)
-    rng = random.Random(args.seed)
-    n = system.context.n
-    trials = args.trials
+def _action_counts(model: EulerModel, rng: random.Random, trials: int) -> dict[str, int]:
+    """Exact successes of each action identity over seeded random instances."""
+    n = model.system.context.n
     checks = {
         "group-law": 0,
         "translation-equivariance": 0,
@@ -328,9 +323,25 @@ def cmd_act_check(args) -> int:
         if euler_act(model, lam, group_act(model, v, z)) == \
                 group_act(model, [lam * vi for vi in v], euler_act(model, lam, z)):
             checks["torus-normalization"] += 1
+    return checks
+
+
+def _orbit_degrees(model: EulerModel, rng: random.Random, trials: int) -> list[int]:
+    """Orbit-curve degrees along seeded sparse random directions."""
+    n = model.system.context.n
+    return [orbit_curve_degree(model, sampling.sparse_direction(rng, n))
+            for _ in range(trials)]
+
+
+def cmd_act_check(args) -> int:
+    report = Report("act-check", seed=args.seed)
+    system = _load_system(args.file, report)
+    if system is None:
+        return report.emit(args.json)
+    checks = _action_counts(build_model(system), random.Random(args.seed), args.trials)
     for tag, good in checks.items():
-        report.add("pass" if good == trials else "fail", tag,
-                   f"{good}/{trials} random instances exact")
+        report.add("pass" if good == args.trials else "fail", tag,
+                   f"{good}/{args.trials} random instances exact")
     return report.emit(args.json)
 
 
@@ -339,11 +350,7 @@ def cmd_curve_degrees(args) -> int:
     system = _load_system(args.file, report)
     if system is None:
         return report.emit(args.json)
-    model = build_model(system)
-    rng = random.Random(args.seed)
-    n = system.context.n
-    degrees = [orbit_curve_degree(model, sampling.sparse_direction(rng, n))
-               for _ in range(args.trials)]
+    degrees = _orbit_degrees(build_model(system), random.Random(args.seed), args.trials)
     hist = {}
     for d in degrees:
         hist[d] = hist.get(d, 0) + 1
@@ -491,23 +498,10 @@ def cmd_report(args) -> int:
     report.add("info", "ambient",
                f"projective space of dimension {model.ambient_dim - 1}")
     rng = random.Random(args.seed)
-    n = system.context.n
-    good = 0
-    for _ in range(10):
-        v = sampling.vector(rng, n)
-        u = sampling.vector(rng, n)
-        z = random_ambient_point(model, rng)
-        lam = sampling.nonzero_rational(rng)
-        ok = (group_act(model, v, group_act(model, u, z)) ==
-              group_act(model, [a + b for a, b in zip(v, u)], z))
-        ok = ok and (euler_act(model, lam, group_act(model, v, z)) ==
-                     group_act(model, [lam * vi for vi in v],
-                               euler_act(model, lam, z)))
-        good += ok
+    good = min(_action_counts(model, rng, 10).values())
     report.add("pass" if good == 10 else "fail", "actions",
-               f"{good}/10 random group-law and normalization instances exact")
-    degrees = [orbit_curve_degree(model, sampling.sparse_direction(rng, n))
-               for _ in range(40)]
+               f"{good}/10 random instances of every action identity exact")
+    degrees = _orbit_degrees(model, rng, 40)
     report.add("pass" if max(degrees) == system.rank else "fail", "max-degree",
                f"largest sampled orbit degree {max(degrees)}, rank {system.rank}")
     space = implicitize(model, 2)
@@ -570,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("prolong", cmd_prolong, "prolongation spaces of the components")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_count(1), default=None,
                    help="single degree instead of the full range")
 
     p = add("order", cmd_order, "largest degree whose base locus is empty")
@@ -615,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "graph chart of its model")
     p.add_argument("--at", default=None,
                    help="base point as comma-separated rationals")
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_count(1), default=None,
                    help="truncation degree for the jet expansion")
 
     p = add("cartan", cmd_cartan,
@@ -641,16 +635,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegreeCapExceeded as exc:
+    except (ParseError, OSError, DegreeCapExceeded, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

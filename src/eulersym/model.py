@@ -7,14 +7,15 @@ against the echelon basis (b^k_i) of F^k.  The defining map is
     phi([t : w]) = [t^r : t^(r-1) w : t^(r-2) (b^2_i(w)) : ... : (b^r_i(w))]
 
 The additive group W acts by translations g_v, the torus by weighted
-scaling; both are linear on the ambient coordinates.  On a functional
-block f^k the translation acts by
+scaling; both are linear on the ambient coordinates.  The translation is
 
-    sum_{l=2..k} C(k,l) f^l o iota_v^(k-l)  +  k * iota_w o iota_v^(k-1)
-                                            +  t * iota_v^k
+    g_v = exp(sum_i v_i N_i)
 
-evaluated here against the chosen bases, so the whole action is a
-matter of contraction chains and exact dot products.
+for commuting nilpotent N_1..N_n, one per basis vector e_i.  N_i raises
+torus weight by one: it sends block k-1 to block k, and the row of the
+basis form b^k_j holds k times the echelon coordinates of iota_{e_i} b^k_j
+in F^(k-1).  Block 0 is F^0 = <1>, so the t and w blocks need no special
+case, and N_v^(r+1) = 0 makes the exponential a finite sum.
 
 The torus acts with weight k on block k, so the ideal of the model is
 graded by torus weight: `implicitize` finds its degree-d piece as a
@@ -26,13 +27,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
 from typing import Sequence
 
 from . import sampling
-from .poly import Polynomial, VarContext, contract, evaluate
+from .poly import Polynomial, VarContext, _as_scalar, contract, evaluate
 from .spaces import FormSpace, monomials_of_degree, nullspace
-from .systems import SymbolSystem, assemble
+from .systems import SymbolSystem, _basis_vector, assemble
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class ProjectivePoint:
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence):
-        vals = tuple(Fraction(c) for c in coords)
+        vals = tuple(_as_scalar(c) for c in coords)
         lead = next((c for c in vals if c), None)
         if lead is None:
             raise ValueError("all coordinates are zero; not a projective point")
@@ -85,6 +86,28 @@ class EulerModel:
             out.extend(self.system.component(k).basis)
         return out
 
+    @cached_property
+    def nilpotents(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """N_1..N_n, each as one row of (column, entry) pairs per coordinate.
+
+        Built on the first action, so models that never act pay nothing.
+        """
+        n = self.system.context.n
+        mats = []
+        for i in range(n):
+            rows = [()]  # block 0 has weight 0: nothing maps into it
+            for k in range(1, self.rank + 1):
+                lower = self.system.component(k - 1)
+                start = self.block_bounds[k - 1][0]
+                for b in self.system.component(k).basis:
+                    coords = lower.coordinates_of(contract(b, _basis_vector(n, i)))
+                    if coords is None:
+                        raise AssertionError(
+                            "closure violated: contraction left its component")
+                    rows.append(tuple((start + j, k * c) for j, c in enumerate(coords) if c))
+            mats.append(tuple(rows))
+        return tuple(mats)
+
 
 def build_model(system: SymbolSystem) -> EulerModel:
     n = system.context.n
@@ -101,8 +124,8 @@ def build_model(system: SymbolSystem) -> EulerModel:
 
 def phi_eval(model: EulerModel, t, w: Sequence) -> ProjectivePoint:
     """Value of the defining map at [t : w]."""
-    t = Fraction(t)
-    w = tuple(Fraction(c) for c in w)
+    t = _as_scalar(t)
+    w = tuple(_as_scalar(c) for c in w)
     r = model.rank
     coords = [t**r]
     coords.extend(t ** (r - 1) * wi for wi in w)
@@ -116,7 +139,7 @@ def phi_eval(model: EulerModel, t, w: Sequence) -> ProjectivePoint:
 
 def euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
     """Torus action: weight 0 on the t block, weight k on the degree-k block."""
-    lam = Fraction(lam)
+    lam = _as_scalar(lam)
     if not lam:
         raise ValueError("torus elements are nonzero scalars")
     out = list(z.coords)
@@ -128,33 +151,18 @@ def euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
 
 
 def group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectivePoint:
-    """Translation action of v in W on an arbitrary ambient point."""
-    ctx = model.system.context
-    v = tuple(Fraction(c) for c in v)
-    if len(v) != ctx.n:
-        raise ValueError(f"translation vector needs {ctx.n} coordinates")
-    t = z[0]
-    w = model.block(z, 1)
-    out = [t]
-    out.extend(wi + t * vi for wi, vi in zip(w, v))
-    for k in range(2, model.rank + 1):
-        fblocks = {l: model.block(z, l) for l in range(2, k + 1)}
-        for phi in model.system.component(k).basis:
-            # contraction chain: chain[j] = j-fold contraction of phi by v
-            chain = [phi]
-            for _ in range(k):
-                chain.append(contract(chain[-1], v))
-            value = Fraction(0)
-            for l in range(2, k + 1):
-                coords = model.system.component(l).coordinates_of(chain[k - l])
-                if coords is None:
-                    raise AssertionError(
-                        "closure violated: contraction left its component")
-                value += comb(k, l) * sum(
-                    fi * ci for fi, ci in zip(fblocks[l], coords))
-            value += k * evaluate(chain[k - 1], w)
-            value += t * chain[k].constant_value()
-            out.append(value)
+    """Translation action of v in W on an arbitrary ambient point: exp(N_v) z."""
+    v = tuple(_as_scalar(c) for c in v)
+    if len(v) != model.system.context.n:
+        raise ValueError(f"translation vector needs {model.system.context.n} coordinates")
+    out = term = [_as_scalar(c) for c in z]
+    if len(out) != model.ambient_dim:
+        raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
+    nv = [[(c, vi * e) for vi, mat in zip(v, model.nilpotents) if vi for c, e in mat[row]]
+          for row in range(model.ambient_dim)]
+    for j in range(1, model.rank + 1):
+        term = [sum((e * term[c] for c, e in row), Fraction(0)) / j for row in nv]
+        out = [a + b for a, b in zip(out, term)]
     return ProjectivePoint(out)
 
 
@@ -164,7 +172,7 @@ def orbit_curve_degree(model: EulerModel, w: Sequence) -> int:
     Equals the largest k whose dual block (b^k_i(w)) is nonzero; the
     curve is [1 : s*w : s^2 iota_w^2 : ... ] in the blocked coordinates.
     """
-    w = tuple(Fraction(c) for c in w)
+    w = tuple(_as_scalar(c) for c in w)
     if not any(w):
         raise ValueError("orbit direction must be a nonzero vector")
     for k in range(model.rank, 1, -1):

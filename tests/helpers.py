@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
+from typing import Sequence
 
-from eulersym import Polynomial, VarContext, evaluate, monomials_of_degree, vanishing_space
+from eulersym import (Polynomial, ProjectivePoint, VarContext, contract, evaluate,
+                      monomials_of_degree, vanishing_space)
 from eulersym import sampling
-from eulersym.model import random_image_point
+from eulersym.model import EulerModel, random_image_point
 
 
 def random_poly(rng: random.Random, ctx: VarContext, degree: int,
@@ -55,3 +58,43 @@ def sampled_implicitize(model, degree: int, samples: int | None = None,
                     f"degree-{degree} interpolation failed verification; "
                     "rerun with more samples")
     return space
+
+
+def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectivePoint:
+    """Translation action of v in W on an arbitrary ambient point.
+
+    The library's former algorithm, kept as an independent oracle for the
+    exp(N_v) form of `group_act`.  On a functional block f^k it evaluates
+
+        sum_{l=2..k} C(k,l) f^l o iota_v^(k-l)  +  k * iota_w o iota_v^(k-1)
+                                                +  t * iota_v^k
+
+    by a fresh contraction chain for every basis form.
+    """
+    ctx = model.system.context
+    v = tuple(Fraction(c) for c in v)
+    if len(v) != ctx.n:
+        raise ValueError(f"translation vector needs {ctx.n} coordinates")
+    t = z[0]
+    w = model.block(z, 1)
+    out = [t]
+    out.extend(wi + t * vi for wi, vi in zip(w, v))
+    for k in range(2, model.rank + 1):
+        fblocks = {l: model.block(z, l) for l in range(2, k + 1)}
+        for phi in model.system.component(k).basis:
+            # contraction chain: chain[j] = j-fold contraction of phi by v
+            chain = [phi]
+            for _ in range(k):
+                chain.append(contract(chain[-1], v))
+            value = Fraction(0)
+            for l in range(2, k + 1):
+                coords = model.system.component(l).coordinates_of(chain[k - l])
+                if coords is None:
+                    raise AssertionError(
+                        "closure violated: contraction left its component")
+                value += comb(k, l) * sum(
+                    fi * ci for fi, ci in zip(fblocks[l], coords))
+            value += k * evaluate(chain[k - 1], w)
+            value += t * chain[k].constant_value()
+            out.append(value)
+    return ProjectivePoint(out)

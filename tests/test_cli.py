@@ -125,6 +125,10 @@ def test_implicitize_verification_is_exact(capsys):
     ["curve-degrees", "epr.sys", "--trials", "0"],
     ["cartan", "quadric.par", "--trials", "0"],
     ["cartan", "quadric.par", "--trials", "-2"],
+    ["prolong", "epr.sys", "--degree", "-1"],
+    ["prolong", "epr.sys", "--degree", "0"],
+    ["ff", "cubiccurve.par", "--degree", "-1"],
+    ["ff", "cubiccurve.par", "--degree", "0"],
 ])
 def test_bad_counts_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -132,6 +136,13 @@ def test_bad_counts_exit_2(capsys, argv):
     assert out == ""
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+def test_prolong_degree_above_rank_exits_2(capsys):
+    code, out, err = run(capsys, "prolong", "epr.sys", "--degree", "4")
+    assert code == 2
+    assert out == ""
+    assert "error: --degree 4 is out of range 1..3" in err
 
 
 BAD_FILES = {
@@ -145,6 +156,9 @@ BAD_FILES = {
     "non-utf8-points": ("pts.txt", b"\xfe0, 1, 0\n",
                         ["saturated", "epr.sys", "--points", "FILE"],
                         "line 1, col 1: pts.txt is not UTF-8"),
+    "degenerate-everywhere": ("flat.par", b"vars: s t\ncoords: s, s, s^2\n",
+                              ["cartan", "FILE"],
+                              "could not find enough nondegenerate base points"),
 }
 
 
@@ -184,6 +198,7 @@ def test_cartan(capsys):
 def test_report_battery(capsys):
     code, out, _ = run(capsys, "report", "triple.sys")
     assert code == 0
+    assert "[pass] actions: 10/10 random instances of every action identity exact" in out
     assert "[pass] chart-extraction" in out
     assert "[pass] cartan" in out
 

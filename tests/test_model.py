@@ -27,7 +27,7 @@ from eulersym import sampling
 from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point, random_image_point
 
-from helpers import sampled_implicitize
+from helpers import chain_group_act, sampled_implicitize
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -42,6 +42,17 @@ def test_projective_point_normalization():
     assert p == ProjectivePoint([0, Fraction(1, 3), Fraction(2, 3)])
     with pytest.raises(ValueError):
         ProjectivePoint([0, 0])
+
+
+def test_action_inputs_must_be_exact_and_fit():
+    with pytest.raises(TypeError):
+        ProjectivePoint([0.5, 1])
+    model = build_model(_bundled("quadric.sys"))
+    z = random_ambient_point(model, random.Random(3))
+    with pytest.raises(TypeError):
+        group_act(model, (0.5, 1), z)
+    with pytest.raises(ValueError):
+        group_act(model, (1, 1), ProjectivePoint(z.coords[:-1]))
 
 
 def test_block_layout():
@@ -83,6 +94,67 @@ def test_group_law_and_equivariance():
             w = sampling.vector(rng, n)
             assert group_act(model, v, phi_eval(model, t, w)) == \
                 phi_eval(model, t, [wi + t * vi for wi, vi in zip(w, v)])
+
+
+def _system(name, frame="shipped"):
+    if name.startswith("full"):
+        system = full_system(*map(int, name.split("_")[1:]))
+    else:
+        system = _bundled(name)
+    return _monomial_frame(system, name) if frame == "monomial" else system
+
+
+ACTION_CASES = ([(name, frame) for name in BUNDLED for frame in ("shipped", "monomial")]
+                + [(f"full_{n}_{r}", "shipped")
+                   for n, r in ((2, 3), (3, 3), (2, 5), (4, 2))])
+
+
+@pytest.mark.parametrize("name,frame", ACTION_CASES)
+def test_group_act_matches_the_chain_oracle(name, frame):
+    model = build_model(_system(name, frame))
+    rng = random.Random(name + frame)
+    for _ in range(20):
+        v = sampling.vector(rng, model.system.context.n)
+        z = random_ambient_point(model, rng)
+        assert group_act(model, v, z) == chain_group_act(model, v, z)
+
+
+def _dense(model, mat):
+    dim = model.ambient_dim
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for row, entries in enumerate(mat):
+        for col, entry in entries:
+            out[row][col] = entry
+    return out
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("full_2_4",))
+def test_nilpotents_commute_and_raise_weight(name):
+    model = build_model(_system(name))
+    weight = [k for k, (start, stop) in enumerate(model.block_bounds)
+              for _ in range(start, stop)]
+    mats = [_dense(model, mat) for mat in model.nilpotents]
+    assert len(mats) == model.system.context.n
+    for a in mats:
+        for b in mats:
+            assert _matmul(a, b) == _matmul(b, a)
+    for mat in model.nilpotents:
+        assert len(mat) == model.ambient_dim
+        for row, entries in enumerate(mat):
+            assert all(weight[col] == weight[row] - 1 for col, _ in entries)
+    v = sampling.generic_vector(random.Random(name), model.system.context.n)
+    nv = [[sum((vi * m[r][c] for vi, m in zip(v, mats)), Fraction(0))
+           for c in range(model.ambient_dim)] for r in range(model.ambient_dim)]
+    power = nv
+    for _ in range(model.rank - 1):
+        power = _matmul(power, nv)
+    assert any(any(row) for row in power)  # N_v^r != 0: r is the exact index
+    assert not any(any(row) for row in _matmul(power, nv))
 
 
 def test_translation_fixes_nothing_but_acts_trivially_for_zero():
@@ -175,13 +247,7 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("name,frame,degree", ORACLE_CASES)
 def test_implicitize_matches_the_sampled_oracle(name, frame, degree):
-    if name.startswith("full"):
-        system = full_system(*map(int, name.split("_")[1:]))
-    else:
-        system = _bundled(name)
-    if frame == "monomial":
-        system = _monomial_frame(system, name)
-    model = build_model(system)
+    model = build_model(_system(name, frame))
     space = implicitize(model, degree)
     assert space == sampled_implicitize(model, degree)
     assert all(pullback(model, g).is_zero() for g in space.basis)
