@@ -12,7 +12,7 @@ from .model import (EulerModel, ProjectivePoint, build_model, euler_act,
                     group_act, implicitize, orbit_curve_degree, phi_eval,
                     pullback, recover_symbols)
 from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VarContext,
-                   block_order, compose_linear, context, contract, evaluate,
+                   compose_linear, context, contract, evaluate,
                    format_polynomial, polarize, translate)
 from .spaces import (FormSpace, intersect_spaces, kernel_of_map,
                      monomials_of_degree, sum_spaces, vanishing_space)

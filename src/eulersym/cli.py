@@ -46,10 +46,10 @@ from .model import (
     pullback,
     random_ambient_point,
 )
-from .poly import Polynomial, format_polynomial
+from .poly import format_polynomial
 from .spaces import FormSpace, vanishing_space
-from .specfiles import parse_param_file, parse_point_file, parse_symbol_file, system_from_file
-from .systems import SymbolSystem, assemble, is_saturated, order, prolong
+from .specfiles import parse_param_file, parse_point_file, system_from_file
+from .systems import SymbolSystem, is_saturated, order, prolong
 
 
 class Report:

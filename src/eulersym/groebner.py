@@ -9,10 +9,11 @@ completions into a loud error instead of a hang.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Sequence
 
-from .errors import DegreeCapExceeded, HomogeneityError
-from .poly import GREVLEX, MonomialOrder, Monomial, Polynomial, VarContext, block_order
+from .errors import DegreeCapExceeded
+from .poly import GREVLEX, MonomialOrder, Monomial, Polynomial, VarContext, compose_linear
 from .spaces import FormSpace, monomials_of_degree
 
 DEFAULT_DEGREE_CAP = 30
@@ -184,74 +185,37 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# context extension for the auxiliary-variable tricks
+# saturation by revlex colons
 
-def _fresh_name(ctx: VarContext) -> str:
-    i = 0
-    while f"_t{i}" in ctx.names:
-        i += 1
-    return f"_t{i}"
+def _permute(p: Polynomial, perm: Sequence[int]) -> Polynomial:
+    """Rename variable perm[j] to slot j."""
+    return Polynomial(p.context, {tuple(e[i] for i in perm): c for e, c in p.terms.items()})
 
 
-def _lift(p: Polynomial, ext: VarContext) -> Polynomial:
-    return Polynomial(ext, {(0,) + e: c for e, c in p.terms.items()})
-
-
-def _drop_first(p: Polynomial, base: VarContext) -> Polynomial | None:
-    """Strip the auxiliary first variable; None if p actually uses it."""
-    out = {}
-    for e, c in p.terms.items():
-        if e[0] != 0:
-            return None
-        out[e[1:]] = c
-    return Polynomial(base, out)
-
-
-def _eliminate_first(gens_ext: list[Polynomial], ext: VarContext, base: VarContext,
-                     degree_cap: int) -> list[Polynomial]:
-    """Intersect the ideal with the subring omitting the first variable."""
-    G = buchberger(gens_ext, block_order(1), degree_cap)
-    kept = []
-    for g in G:
-        low = _drop_first(g, base)
-        if low is not None:
-            kept.append(low)
-    return buchberger(kept, GREVLEX, degree_cap)
-
-
-def colon_by_variable_power(gens: Sequence[Polynomial], var_index: int,
-                            degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
-    """Generators of I : x_i^infinity, by eliminating y from I + (1 - y*x_i)."""
-    if not gens:
-        return []
-    ctx = gens[0].context
-    ext = VarContext((_fresh_name(ctx),) + ctx.names)
-    lifted = [_lift(g, ext) for g in gens]
-    xi = Polynomial.variable(ext, var_index + 1)
-    y = Polynomial.variable(ext, 0)
-    lifted.append(Polynomial.constant(ext, 1) - y * xi)
-    return _eliminate_first(lifted, ext, ctx, degree_cap)
-
-
-def intersect_ideals(a: Sequence[Polynomial], b: Sequence[Polynomial], ctx: VarContext,
-                     degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
-    """Generators of the ideal intersection, via t*I + (1-t)*J and elimination."""
-    if not a or not b:
-        return []
-    ext = VarContext((_fresh_name(ctx),) + ctx.names)
-    t = Polynomial.variable(ext, 0)
-    one_minus_t = Polynomial.constant(ext, 1) - t
-    gens = [t * _lift(f, ext) for f in a] + [one_minus_t * _lift(g, ext) for g in b]
-    return _eliminate_first(gens, ext, ctx, degree_cap)
+def _revlex_colon(gens: Sequence[Polynomial], degree_cap: int) -> list[Polynomial]:
+    """Groebner basis of I : x_n^infinity for homogeneous I (Bayer-Stillman):
+    x_n is the smallest variable in grevlex, so it is a grevlex basis of I
+    with each element divided by its largest power of x_n."""
+    out = []
+    for g in buchberger(gens, GREVLEX, degree_cap):
+        low = min(e[-1] for e in g.terms)
+        out.append(Polynomial(g.context, {e[:-1] + (e[-1] - low,): c
+                                          for e, c in g.terms.items()}))
+    return out
 
 
 def saturate_ideal(gens: Sequence[Polynomial],
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
     """Saturation of a homogeneous ideal by the irrelevant ideal (x1..xn).
 
-    Computed as the intersection over the variables of the per-variable
-    colon ideals I : x_i^infinity; each colon comes from an auxiliary
-    variable elimination.  The result is the reduced grevlex basis.
+    The saturation is the meet of the colons C_i = I : x_i^infinity and
+    lies in J = I : l^infinity for every linear form l, so J is the
+    saturation once every generator of J lies in every C_i.  All of them
+    are revlex colons: x_i is moved to the last slot, l is made the last
+    coordinate.  l_j = sum_i j^i x_i is tried for j = 1, 2, ...: any n of
+    these are independent, so only finitely many fall in the linear span
+    of an associated prime, and the loop ends.  Returns the reduced
+    grevlex basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -261,23 +225,19 @@ def saturate_ideal(gens: Sequence[Polynomial],
         if g.context != ctx:
             raise ValueError("generators live over different contexts")
         g.homogeneous_degree()  # raises HomogeneityError when inhomogeneous
-    parts = [colon_by_variable_power(gens, i, degree_cap) for i in range(ctx.n)]
-    result: list[Polynomial] | None = None
-    unit = [Polynomial.constant(ctx, 1)]
-
-    def is_unit(part):
-        return len(part) == 1 and part[0].degree() == 0
-
-    for part in parts:
-        if is_unit(part):
-            continue
-        if result is None:
-            result = part
-        else:
-            result = intersect_ideals(result, part, ctx, degree_cap)
-    if result is None:
-        result = unit
-    return GroebnerBasis(ctx, GREVLEX, buchberger(result, GREVLEX, degree_cap))
+    n = ctx.n
+    perms = [[j for j in range(n) if j != i] + [i] for i in range(n)]  # x_i last
+    colons = [(p, _revlex_colon([_permute(g, p) for g in gens], degree_cap)) for p in perms]
+    for j in count(1):
+        ell = [Fraction(j) ** (i + 1) for i in range(n)]
+        # x = A y makes l the last coordinate y_n, and y = B x undoes it
+        B = [[Fraction(int(a == b)) for b in range(n)] for a in range(n - 1)] + [ell]
+        A = B[:-1] + [[-c / ell[-1] for c in ell[:-1]] + [1 / ell[-1]]]
+        J = [compose_linear(h, B)
+             for h in _revlex_colon([compose_linear(g, A) for g in gens], degree_cap)]
+        if not any(reduce_poly(_permute(h, p), basis, GREVLEX)
+                   for p, basis in colons for h in J):
+            return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX, degree_cap))
 
 
 def is_zero_dimensional(space: FormSpace,

@@ -143,6 +143,8 @@ def euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
     if not lam:
         raise ValueError("torus elements are nonzero scalars")
     out = list(z.coords)
+    if len(out) != model.ambient_dim:
+        raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
     for k in range(1, model.rank + 1):
         start, stop = model.block_bounds[k]
         for i in range(start, stop):

@@ -97,16 +97,6 @@ GREVLEX = MonomialOrder("grevlex", grevlex_key)
 LEX = MonomialOrder("lex", lex_key)
 
 
-def block_order(split: int) -> MonomialOrder:
-    """Eliminate the first `split` variables: compare that block first,
-    grevlex within each block."""
-
-    def key(m: Monomial):
-        return (grevlex_key(m[:split]), grevlex_key(m[split:]))
-
-    return MonomialOrder(f"block({split})", key)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 

@@ -9,7 +9,8 @@ their bases coincide term by term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContextMismatchError, HomogeneityError
@@ -20,6 +21,11 @@ def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
     """All exponent tuples of the given total degree, descending grevlex."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    return list(_monomials(ctx.n, degree))
+
+
+@lru_cache(maxsize=None)
+def _monomials(n: int, degree: int) -> tuple[Monomial, ...]:
     out: list[Monomial] = []
 
     def fill(prefix, remaining, slots):
@@ -29,8 +35,8 @@ def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
         for e in range(remaining + 1):
             fill(prefix + (e,), remaining - e, slots - 1)
 
-    fill((), degree, ctx.n)
-    return GREVLEX.sorted_desc(out)
+    fill((), degree, n)
+    return tuple(GREVLEX.sorted_desc(out))
 
 
 def full_dimension(ctx: VarContext, degree: int) -> int:
@@ -38,33 +44,55 @@ def full_dimension(ctx: VarContext, degree: int) -> int:
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
+    """Exact reduced row echelon form; returns (rows, pivot column indices).
+
+    Fraction-free: each row becomes a primitive integer row {column: int}
+    and is reduced against the pivot rows so far; a new pivot row
+    back-reduces the older ones, so they stay mutually reduced.  Rationals
+    appear once, when the result is read off.
+    """
     if not rows:
         return [], []
-    width = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> primitive row
+    for row in rows:
+        den = lcm(*(c.denominator for c in row if c))
+        r = _content_free({j: c.numerator * (den // c.denominator)
+                           for j, c in enumerate(row) if c})
+        for j in [j for j in r if j in basis]:  # pivot rows are 0 on other pivots
+            r = _eliminate(r, basis[j], j)
+        if r:
+            col = min(r)
+            if r[col] < 0:
+                r = {j: -c for j, c in r.items()}
+            for j, b in basis.items():
+                if col in b:
+                    basis[j] = _eliminate(b, r, col)
+            basis[col] = r
+    pivots = sorted(basis)
+    out = [[Fraction(0)] * len(rows[0]) for _ in pivots]
+    for dense, p in zip(out, pivots):
+        for j, c in basis[p].items():
+            dense[j] = Fraction(c, basis[p][p])
+    return out, pivots
+
+
+def _content_free(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: c // g for j, c in row.items()} if g > 1 else row
+
+
+def _eliminate(r: dict[int, int], p: dict[int, int], j: int) -> dict[int, int]:
+    """p[j]*r - r[j]*p made primitive; p[j] > 0 is a pivot, so r keeps its sign."""
+    g = gcd(p[j], r[j])
+    a, b = p[j] // g, r[j] // g
+    out = {i: a * c for i, c in r.items()}
+    for i, c in p.items():
+        v = out.get(i, 0) - b * c
+        if v:
+            out[i] = v
+        else:
+            del out[i]
+    return _content_free(out)
 
 
 def nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:

@@ -20,10 +20,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import ParseError
 from .poly import Polynomial, VarContext, format_polynomial
 from .systems import SymbolSystem, assemble
+
+# Caps on what an input may ask for.  Past them the exact algebra runs for
+# hours or exhausts memory, so the input is refused before any of it starts.
+MAX_RANK = 32
+MAX_TERM_DEGREE = 64  # so also the largest exponent
+MAX_AMBIENT = 5000  # C(n + d, n): the forms of degree <= d in n variables
 
 _TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^,])")
@@ -122,6 +129,7 @@ class _PolyParser:
             if tok.kind == "op" and tok.text == "*":
                 self.take()
                 out = out * self.parse_factor()
+                _capped(out.degree(), MAX_TERM_DEGREE, "term degree", tok.line, tok.col)
             else:
                 return out
 
@@ -141,7 +149,8 @@ class _PolyParser:
             exp_tok = self.take()
             if exp_tok.kind != "int":
                 self.fail("expected an integer exponent", exp_tok)
-            exp = int(exp_tok.text)
+            exp = _capped(exp_tok.text, MAX_TERM_DEGREE, "term degree", exp_tok.line,
+                          exp_tok.col)
         return Polynomial.variable(self.ctx, i) ** exp
 
 
@@ -171,6 +180,19 @@ def _parse_poly_list(text: str, ctx: VarContext, line: int, col: int) -> list[tu
             parser.take()
             continue
         parser.fail(f"expected ',' between entries, found {tok.text!r}")
+
+
+def _capped(value: int | str, cap: int, what: str, line: int, col: int) -> int:
+    """`value`, an int or a decimal string of any length, if it is at most `cap`."""
+    text = str(value)
+    if len(text.lstrip("0")) > len(str(cap)) or int(text) > cap:
+        raise ParseError(f"{what} {text} exceeds the cap {cap}", line, col)
+    return int(text)
+
+
+def _check_ambient(n: int, degree: int, line: int, col: int):
+    _capped(comb(n + degree, n), MAX_AMBIENT,
+            f"ambient size (forms of degree <= {degree} in {n} variables)", line, col)
 
 
 def _split_lines(text: str):
@@ -222,9 +244,10 @@ def parse_symbol_file(text: str) -> SymbolFile:
         elif key == "rank":
             if rank is not None:
                 raise ParseError("duplicate rank line", lineno, key_col)
-            if not payload.isdigit() or int(payload) < 1:
+            if not payload.isdecimal() or not payload.lstrip("0"):
                 raise ParseError("rank must be a positive integer", lineno, payload_col)
-            rank = int(payload)
+            rank = _capped(payload, MAX_RANK, "rank", lineno, payload_col)
+            rank_at = lineno, payload_col
         elif re.fullmatch(r"F\d+", key):
             k = int(key[1:])
             if ctx is None:
@@ -251,6 +274,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
         raise ParseError("missing vars line", 1, 1)
     if rank is None:
         raise ParseError("missing rank line", 1, 1)
+    _check_ambient(ctx.n, rank, *rank_at)
     for k in generators:
         if k > rank:
             raise ParseError(f"component F{k} exceeds the declared rank {rank}", 1, 1)
@@ -315,6 +339,7 @@ def parse_param_file(text: str) -> ParamFile:
             if ctx is None:
                 raise ParseError("vars must come before coords", lineno, key_col)
             coords = tuple(p for p, _ in _parse_poly_list(payload, ctx, lineno, payload_col))
+            _check_ambient(ctx.n, max(p.degree() or 0 for p in coords), lineno, payload_col)
         elif key == "at":
             if base is not None:
                 raise ParseError("duplicate at line", lineno, key_col)

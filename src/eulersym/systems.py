@@ -13,13 +13,14 @@ stay empty), and the saturation predicate for systems of order 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidSymbolSystem, SaturationPreconditionError
 from .groebner import (GroebnerBasis, graded_component, is_zero_dimensional,
                        saturate_ideal)
 from .poly import Polynomial, VarContext, contract, default_context
-from .spaces import FormSpace, kernel_of_map, monomials_of_degree
+from .spaces import FormSpace, monomials_of_degree, nullspace
 
 
 @dataclass(frozen=True)
@@ -110,21 +111,34 @@ def assemble(ctx: VarContext, rank: int, graded: Mapping[int, Sequence[Polynomia
 
 
 def prolong(space: FormSpace) -> FormSpace:
-    """Forms one degree up whose every basis-vector contraction lies in `space`."""
+    """Forms one degree up whose every basis-vector contraction lies in `space`.
+
+    Up to the factor 1/(k+1), contracting x^M by e_i gives M_i x^(M - e_i),
+    whose residue modulo `space` is read off the echelon basis: a
+    non-pivot monomial is its own residue, and the pivot of basis row b
+    has residue m - b.  Residues live on the non-pivot monomials, so the
+    constraints are indexed by (i, non-pivot monomial).
+    """
     k = space.degree
     if k < 1:
         raise ValueError("prolongation needs a component of degree >= 1")
     ctx = space.context
-    images = {}
-    for m in monomials_of_degree(ctx, k + 1):
-        mono = Polynomial.from_monomial(ctx, m)
-        blocks = []
-        for i in range(ctx.n):
-            residue = space.reduce(contract(mono, _basis_vector(ctx.n, i)))
-            row = [residue.coefficient(mm) for mm in monomials_of_degree(ctx, k)]
-            blocks.append(row)
-        images[m] = blocks
-    return kernel_of_map(ctx, k + 1, images)
+    pivots = set(space.pivots)
+    free = {m: j for j, m in enumerate(
+        m for m in monomials_of_degree(ctx, k) if m not in pivots)}
+    residue = {m: [(j, Fraction(1))] for m, j in free.items()}
+    for m, b in zip(space.pivots, space.basis):
+        residue[m] = [(free[mm], -c) for mm, c in b.terms.items() if mm != m]
+    monos = monomials_of_degree(ctx, k + 1)
+    rows = [[Fraction(0)] * len(monos) for _ in range(ctx.n * len(free))]
+    for col, big in enumerate(monos):
+        for i, e in enumerate(big):
+            if e:
+                for j, c in residue[big[:i] + (e - 1,) + big[i + 1:]]:
+                    rows[i * len(free) + j][col] = e * c
+    kernel = nullspace(rows, len(monos))
+    return FormSpace.span(
+        [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in kernel], ctx, k + 1)
 
 
 def from_polynomial(p: Polynomial) -> SymbolSystem:

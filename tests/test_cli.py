@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -159,6 +160,19 @@ BAD_FILES = {
     "degenerate-everywhere": ("flat.par", b"vars: s t\ncoords: s, s, s^2\n",
                               ["cartan", "FILE"],
                               "could not find enough nondegenerate base points"),
+    "rank-cap": ("big.sys", b"vars: x1 x2\nrank: 50000000\n",
+                 ["validate", "FILE"], "line 2, col 7: rank 50000000 exceeds the cap 32"),
+    "exponent-cap": ("big.sys", b"vars: x1 x2\nrank: 2\nF2: x1^99999999\n",
+                     ["report", "FILE"],
+                     "line 3, col 8: term degree 99999999 exceeds the cap 64"),
+    "term-degree-cap": ("big.par", b"vars: z\ncoords: z^64*z^64, z\n", ["cartan", "FILE"],
+                        "line 2, col 13: term degree 128 exceeds the cap 64"),
+    "superscript-rank": ("bad.sys", "vars: x1 x2\nrank: \u00b2\n".encode(), ["validate", "FILE"],
+                         "line 2, col 7: rank must be a positive integer"),
+    "ambient-cap": ("big.sys", b"rank: 3\nvars: " + b" ".join(b"x%d" % i for i in range(40))
+                    + b"\n", ["validate", "FILE"],
+                    "line 1, col 7: ambient size (forms of degree <= 3 in 40 variables) "
+                    "12341 exceeds the cap 5000"),
 }
 
 
@@ -167,7 +181,9 @@ def test_bad_input_files_exit_2(tmp_path, capsys, case):
     filename, data, argv, message = BAD_FILES[case]
     path = tmp_path / filename
     path.write_bytes(data)
+    start = time.perf_counter()
     code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert f"error: {message}" in err
     assert "Traceback" not in err

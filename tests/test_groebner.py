@@ -1,4 +1,6 @@
-"""Buchberger, elimination, saturation and the zero-dimensionality test."""
+"""Buchberger, saturation and the zero-dimensionality test."""
+
+import random
 
 import pytest
 
@@ -14,8 +16,9 @@ from eulersym import (
     is_zero_dimensional,
     saturate_ideal,
 )
-from eulersym.groebner import colon_by_variable_power, intersect_ideals
 from eulersym.poly import GREVLEX, LEX
+from helpers import (colon_by_variable_power, elimination_saturate, intersect_ideals,
+                     random_poly)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -69,6 +72,38 @@ def test_successive_colons_are_not_saturation():
     assert len(second) == 1 and second[0].degree() == 0
     sat = saturate_ideal([X1 * X2])
     assert [str(g) for g in sat.polys] == ["x1*x2"]
+
+
+def _random_ideal(seed):
+    """Homogeneous generators of degree <= 3 in 2 or 3 variables.
+
+    Fewer random forms than variables, so the ideal is never m-primary;
+    two seeds in three multiply them by the irrelevant ideal m or by the
+    m-primary (x1^2, x2, ..), so the saturation is not the ideal itself.
+    """
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(rng.choice([2, 3]))))
+    xs = [Polynomial.variable(ctx, i) for i in range(ctx.n)]
+    primary = [[Polynomial.constant(ctx, 1)], xs, [xs[0] ** 2] + xs[1:]][seed % 3]
+    top = 3 - max(p.degree() for p in primary)
+    forms = [random_poly(rng, ctx, rng.randint(1, top)) for _ in range(rng.randint(1, ctx.n - 1))]
+    return [f * p for f in forms for p in primary]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_saturation_matches_the_elimination_oracle(seed):
+    gens = _random_ideal(seed)
+    assert saturate_ideal(gens) == elimination_saturate(gens)
+
+
+def test_saturation_needs_a_second_linear_form():
+    # I = l*(x1, x2, x3) with l = x1 + x2 + x3 = l_1: I : l_1^inf is the unit
+    # ideal, which fails certification, and l_2 gives the saturation (l)
+    ell = X1 + X2 + X3
+    gens = [ell * X1, ell * X2, ell * X3]
+    sat = saturate_ideal(gens)
+    assert [str(g) for g in sat.polys] == ["x1 + x2 + x3"]
+    assert sat == elimination_saturate(gens)
 
 
 def test_saturation_of_multiple_generators():

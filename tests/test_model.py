@@ -177,6 +177,14 @@ def test_euler_action_weights():
         euler_act(model, 0, phi_eval(model, 1, (1, 1)))
 
 
+def test_euler_act_rejects_a_point_of_the_wrong_length():
+    model = build_model(full_system(2, 2))
+    assert model.ambient_dim == 6
+    for coords in ([1, 2, 3], list(range(1, 8))):
+        with pytest.raises(ValueError, match="ambient point needs 6 coordinates"):
+            euler_act(model, 2, ProjectivePoint(coords))
+
+
 def test_orbit_curve_degrees_on_the_scroll():
     model = build_model(_bundled("epr.sys"))
     assert orbit_curve_degree(model, (1, 0, 0)) == 3

@@ -1,6 +1,7 @@
 """FormSpace: canonical echelon bases and the lattice operations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from eulersym import (
     sum_spaces,
     vanishing_space,
 )
-from helpers import random_poly
+from eulersym.spaces import rref
+from helpers import dense_rref, random_poly
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -89,3 +91,49 @@ def test_vanishing_space():
     assert v.dim == 4
     assert v.contains(X1 * X2) and v.contains(X3**2)
     assert not v.contains(X1**2)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices with zero rows, dependent rows and any density."""
+    width = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    rows = [[draw(entry) if draw(st.floats(0, 1)) < density else Fraction(0)
+             for _ in range(width)]
+            for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [s * x + t * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * width)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_the_dense_oracle(rows):
+    assert rref(rows) == dense_rref(rows)
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(20):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.6
+                 else Fraction(0) for _ in range(6)] for _ in range(5)]
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[1])])
+        reduced, pivots = sympy.Matrix(rows).rref()
+        ours, our_pivots = rref(rows)
+        assert our_pivots == list(pivots)
+        assert [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in ours] \
+            == reduced.tolist()[:len(pivots)]
+
+
+def test_monomial_lists_are_fresh_copies():
+    first = monomials_of_degree(CTX, 2)
+    first.clear()
+    assert len(monomials_of_degree(CTX, 2)) == 6

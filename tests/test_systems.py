@@ -22,7 +22,7 @@ from eulersym import (
     system_from_file,
 )
 from eulersym.cli import bundled_text
-from helpers import random_poly
+from helpers import contraction_prolong, random_poly
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -99,6 +99,37 @@ def test_prolongation_against_sympy_oracle(n):
     assert len(solutions) == p2.dim == n
     assert joint.rank() == n
     assert p2 == FormSpace.span([ws[0] ** 2 * w for w in ws])
+
+
+def _segre_dense(n, seed):
+    # x1*...*xn in a seeded frame of n independent forms with entries in [-2, 2]
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(n)))
+    while True:
+        forms = [Polynomial(ctx, {tuple(int(j == i) for j in range(n)): rng.randint(-2, 2)
+                                  for i in range(n)}) for _ in range(n)]
+        if FormSpace.span(forms, ctx, 1).is_full():
+            break
+    top = forms[0]
+    for f in forms[1:]:
+        top = top * f
+    return from_polynomial(top)
+
+
+PROLONG_CASES = {
+    **{name: lambda name=name: _bundled(name)
+       for name in ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")},
+    "segre-P1^3-dense": lambda: _segre_dense(3, 11),
+    "segre-P1^4-dense": lambda: _segre_dense(4, 12),
+    "full(2,3)": lambda: full_system(2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROLONG_CASES))
+def test_prolongation_matches_the_contraction_oracle(case):
+    s = PROLONG_CASES[case]()
+    for k in range(1, s.rank + 1):
+        assert prolong(s.component(k)) == contraction_prolong(s.component(k))
 
 
 def test_prolongation_is_the_largest_closed_extension():
