@@ -22,6 +22,7 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 from . import sampling
@@ -48,7 +49,7 @@ from .model import (
 )
 from .poly import format_polynomial
 from .spaces import FormSpace, vanishing_space
-from .specfiles import parse_param_file, parse_point_file, system_from_file
+from .specfiles import MAX_AMBIENT, parse_param_file, parse_point_file, system_from_file
 from .systems import SymbolSystem, is_saturated, order, prolong
 
 
@@ -374,6 +375,12 @@ def cmd_implicitize(args) -> int:
     if system is None:
         return report.emit(args.json)
     model = build_model(system)
+    size = comb(model.ambient_dim + args.degree - 1, args.degree)
+    if size > MAX_AMBIENT:
+        print(f"error: --degree {args.degree}: {size} monomials of degree {args.degree} "
+              f"in {model.ambient_dim} coordinates exceed the cap {MAX_AMBIENT}",
+              file=sys.stderr)
+        return 2
     space = implicitize(model, args.degree)
     report.add("info", "relations",
                f"forms of degree {args.degree} vanishing on the model: dim {space.dim}")

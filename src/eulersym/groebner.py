@@ -8,8 +8,10 @@ completions into a loud error instead of a hang.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import count
+from operator import add
 from typing import Sequence
 
 from .errors import DegreeCapExceeded
@@ -20,7 +22,13 @@ DEFAULT_DEGREE_CAP = 30
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
-    return order.max(p.terms)
+    """Largest monomial of p; remembered on p, which is immutable, per order."""
+    lead = p._lead
+    if lead is not None and lead[0] is order:
+        return lead[1]
+    m = order.max(p.terms)
+    object.__setattr__(p, "_lead", (order, m))
+    return m
 
 
 def leading_coefficient(p: Polynomial, order: MonomialOrder) -> Fraction:
@@ -41,23 +49,36 @@ def _monomial_quot(a: Monomial, b: Monomial) -> Monomial:
 
 def reduce_poly(p: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Full normal form of p modulo gens (every term reduced)."""
-    ctx = p.context
-    remainder = Polynomial.zero(ctx)
-    work = p
-    lead = [(leading_monomial(g, order), leading_coefficient(g, order), g) for g in gens if g]
-    while not work.is_zero():
-        lm = leading_monomial(work, order)
-        lc = work.terms[lm]
-        for gm, gc, g in lead:
+    key = order.key
+    lead = []
+    for g in gens:
+        if g:
+            gm = leading_monomial(g, order)
+            lead.append((gm, g.terms[gm], [(e, c) for e, c in g.terms.items() if e != gm]))
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        lc = work.pop(lm)
+        for gm, gc, tail in lead:
             if _monomial_divides(gm, lm):
+                # work -= (lc/gc) x^(lm-gm) g; its leading term cancels lc x^lm
                 shift = _monomial_quot(lm, gm)
-                work = work - g * Polynomial.from_monomial(ctx, shift, lc / gc)
+                q = lc / gc
+                for e, c in tail:
+                    m = tuple(map(add, e, shift))
+                    cq = c * q
+                    s = work.get(m)
+                    if s is None:
+                        work[m] = -cq
+                    elif s == cq:
+                        del work[m]
+                    else:
+                        work[m] = s - cq
                 break
         else:
-            t = Polynomial.from_monomial(ctx, lm, lc)
-            remainder = remainder + t
-            work = work - t
-    return remainder
+            remainder[lm] = lc
+    return Polynomial._trusted(p.context, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -78,27 +99,31 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         monic = g * (1 / leading_coefficient(g, order))
         if monic not in basis:
             basis.append(monic)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    lms = [leading_monomial(g, order) for g in basis]
+    pending: set[tuple[int, int]] = set()
+    heap: list = []
 
-    def pair_rank(ij):
-        lcm = _monomial_lcm(leading_monomial(basis[ij[0]], order),
-                            leading_monomial(basis[ij[1]], order))
-        return (sum(lcm), order.key(lcm), ij)
+    def push(i, j):
+        lcm = _monomial_lcm(lms[i], lms[j])
+        pending.add((i, j))
+        heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j, lcm))
 
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        fm = leading_monomial(basis[i], order)
-        gm = leading_monomial(basis[j], order)
-        lcm = _monomial_lcm(fm, gm)
-        if lcm == tuple(a + b for a, b in zip(fm, gm)):
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+    while heap:
+        # the least pair by (lcm degree, order of the lcm, i, j)
+        _, _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+        fm, gm = lms[i], lms[j]
+        if lcm == tuple(map(add, fm, gm)):
             continue  # coprime leading terms
         chained = any(
-            k not in (i, j)
-            and _monomial_divides(leading_monomial(basis[k], order), lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis))
+            k != i and k != j
+            and _monomial_divides(km, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, km in enumerate(lms)
         )
         if chained:
             continue
@@ -109,10 +134,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         rem = reduce_poly(s_polynomial(basis[i], basis[j], order), basis, order)
         if rem.is_zero():
             continue
-        rem = rem * (1 / leading_coefficient(rem, order))
-        basis.append(rem)
+        lm = leading_monomial(rem, order)
+        basis.append(rem * (1 / rem.terms[lm]))
+        lms.append(lm)
         new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        for k in range(new):
+            push(k, new)
     return _reduce_basis(basis, order)
 
 

@@ -202,12 +202,6 @@ def random_ambient_point(model: EulerModel, rng: random.Random) -> ProjectivePoi
             return ProjectivePoint(coords)
 
 
-def random_image_point(model: EulerModel, rng: random.Random) -> ProjectivePoint:
-    t = sampling.nonzero_rational(rng)
-    w = sampling.vector(rng, model.system.context.n)
-    return phi_eval(model, t, w)
-
-
 def pullback(model: EulerModel, p: Polynomial) -> Polynomial:
     """p(1, w, b^2(w), ..., b^r(w)): an ambient form on the t = 1 chart."""
     ctx = model.system.context

@@ -111,7 +111,8 @@ def _as_scalar(c) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial: {exponent tuple: nonzero Fraction}."""
 
-    __slots__ = ("context", "terms")
+    # _lead caches (order, leading monomial); see groebner.leading_monomial
+    __slots__ = ("context", "terms", "_lead")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Monomial, Scalar] | Iterable):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -128,6 +129,20 @@ class Polynomial:
                 clean.pop(expo, None)
         object.__setattr__(self, "context", ctx)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lead", None)
+
+    @classmethod
+    def _trusted(cls, ctx: VarContext, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap an already clean {valid exponent: nonzero Fraction} dict as is.
+
+        Only for the results of arithmetic on valid polynomials; anything
+        read from outside goes through the checking constructor.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "context", ctx)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_lead", None)
+        return p
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
@@ -210,12 +225,12 @@ class Polynomial:
                 out[expo] = s
             else:
                 out.pop(expo, None)
-        return Polynomial(self.context, out)
+        return Polynomial._trusted(self.context, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.context, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.context, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -232,7 +247,7 @@ class Polynomial:
             c = _as_scalar(other)
             if not c:
                 return Polynomial.zero(self.context)
-            return Polynomial(self.context, {e: k * c for e, k in self.terms.items()})
+            return Polynomial._trusted(self.context, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
@@ -245,7 +260,7 @@ class Polynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Polynomial(self.context, out)
+        return Polynomial._trusted(self.context, out)
 
     __rmul__ = __mul__
 
@@ -286,7 +301,7 @@ class Polynomial:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return Polynomial(self.context, out)
+        return Polynomial._trusted(self.context, out)
 
     def __str__(self):
         return format_polynomial(self)

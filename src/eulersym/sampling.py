@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 NUM_RANGE = (-20, 20)
 DEN_RANGE = (1, 10)
@@ -42,17 +41,5 @@ def sparse_direction(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     while True:
         v = tuple(Fraction(0) if rng.random() < 1 / 3 else nonzero_rational(rng)
                   for _ in range(n))
-        if any(v):
-            return v
-
-
-def constrained_direction(rng: random.Random, n: int,
-                          zero_at: Sequence[int]) -> tuple[Fraction, ...]:
-    """Nonzero vector with the listed coordinates pinned to zero."""
-    dead = set(zero_at)
-    if len(dead) >= n:
-        raise ValueError("cannot zero every coordinate of a nonzero vector")
-    while True:
-        v = tuple(Fraction(0) if i in dead else rational(rng) for i in range(n))
         if any(v):
             return v

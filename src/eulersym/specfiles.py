@@ -31,6 +31,7 @@ from .systems import SymbolSystem, assemble
 MAX_RANK = 32
 MAX_TERM_DEGREE = 64  # so also the largest exponent
 MAX_AMBIENT = 5000  # C(n + d, n): the forms of degree <= d in n variables
+MAX_DIGITS = 1000  # of one integer; Python's int() refuses strings past 4300
 
 _TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^,])")
@@ -110,16 +111,17 @@ class _PolyParser:
 
     def parse_rational(self) -> Fraction:
         tok = self.take()
-        num = int(tok.text)
+        num = _integer(tok.text, tok.line, tok.col)
         nxt = self.peek()
         if nxt.kind == "op" and nxt.text == "/":
             self.take()
             den_tok = self.take()
             if den_tok.kind != "int":
                 self.fail("expected a denominator", den_tok)
-            if int(den_tok.text) == 0:
+            den = _integer(den_tok.text, den_tok.line, den_tok.col)
+            if den == 0:
                 self.fail("zero denominator", den_tok)
-            return Fraction(num, int(den_tok.text))
+            return Fraction(num, den)
         return Fraction(num)
 
     def parse_factors(self) -> Polynomial:
@@ -190,6 +192,12 @@ def _capped(value: int | str, cap: int, what: str, line: int, col: int) -> int:
     return int(text)
 
 
+def _integer(text: str, line: int, col: int) -> int:
+    """A string of decimal digits as an int, if it has at most MAX_DIGITS of them."""
+    _capped(len(text), MAX_DIGITS, "digit count", line, col)
+    return int(text)
+
+
 def _check_ambient(n: int, degree: int, line: int, col: int):
     _capped(comb(n + degree, n), MAX_AMBIENT,
             f"ambient size (forms of degree <= {degree} in {n} variables)", line, col)
@@ -249,7 +257,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
             rank = _capped(payload, MAX_RANK, "rank", lineno, payload_col)
             rank_at = lineno, payload_col
         elif re.fullmatch(r"F\d+", key):
-            k = int(key[1:])
+            k = _integer(key[1:], lineno, key_col + 1)
             if ctx is None:
                 raise ParseError("vars must come before component lines", lineno, key_col)
             if k < 2:
@@ -310,7 +318,8 @@ def _parse_rational_list(payload: str, lineno: int, col: int) -> tuple[Fraction,
         if not _RATIONAL_RE.match(stripped):
             raise ParseError(f"expected a rational number, found {stripped!r}", lineno, at)
         num, _, den = stripped.partition("/")
-        if den and int(den) == 0:
+        _integer(num.lstrip("+-"), lineno, at)
+        if den and _integer(den, lineno, at + len(num) + 1) == 0:
             raise ParseError("zero denominator", lineno, at + len(num) + 1)
         out.append(Fraction(stripped))
         offset += len(chunk) + 1

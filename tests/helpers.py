@@ -5,13 +5,15 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from eulersym import (GREVLEX, FormSpace, GroebnerBasis, MonomialOrder, Polynomial,
-                      ProjectivePoint, VarContext, buchberger, contract, evaluate,
-                      kernel_of_map, monomials_of_degree, vanishing_space)
-from eulersym.groebner import DEFAULT_DEGREE_CAP
-from eulersym.poly import grevlex_key
+from eulersym import (GREVLEX, DegreeCapExceeded, FormSpace, GroebnerBasis,
+                      MonomialOrder, Polynomial, ProjectivePoint, VarContext, buchberger,
+                      contract, evaluate, kernel_of_map, monomials_of_degree, phi_eval,
+                      vanishing_space)
+from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
+                               _monomial_quot)
+from eulersym.model import EulerModel
+from eulersym.poly import Monomial, grevlex_key
 from eulersym import sampling
-from eulersym.model import EulerModel, random_image_point
 
 
 def random_poly(rng: random.Random, ctx: VarContext, degree: int,
@@ -31,6 +33,24 @@ def random_poly(rng: random.Random, ctx: VarContext, degree: int,
 
 def random_point(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return sampling.vector(rng, n)
+
+
+def constrained_direction(rng: random.Random, n: int,
+                          zero_at: Sequence[int]) -> tuple[Fraction, ...]:
+    """Nonzero vector with the listed coordinates pinned to zero."""
+    dead = set(zero_at)
+    if len(dead) >= n:
+        raise ValueError("cannot zero every coordinate of a nonzero vector")
+    while True:
+        v = tuple(Fraction(0) if i in dead else sampling.rational(rng) for i in range(n))
+        if any(v):
+            return v
+
+
+def random_image_point(model: EulerModel, rng: random.Random) -> ProjectivePoint:
+    t = sampling.nonzero_rational(rng)
+    w = sampling.vector(rng, model.system.context.n)
+    return phi_eval(model, t, w)
 
 
 def sampled_implicitize(model, degree: int, samples: int | None = None,
@@ -270,3 +290,125 @@ def elimination_saturate(gens: Sequence[Polynomial],
     if result is None:
         result = unit
     return GroebnerBasis(ctx, GREVLEX, buchberger(result, GREVLEX, degree_cap))
+
+
+# ---------------------------------------------------------------------------
+# the library's former Buchberger, which re-derives every leading monomial
+# and picks each pair by min() over a set; kept as an independent oracle for
+# the heap, the leading-monomial cache and the dict-level normal form
+
+def pairset_leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
+    return order.max(p.terms)
+
+
+def pairset_leading_coefficient(p: Polynomial, order: MonomialOrder) -> Fraction:
+    return p.terms[pairset_leading_monomial(p, order)]
+
+
+def pairset_reduce_poly(p: Polynomial, gens: Sequence[Polynomial],
+                        order: MonomialOrder) -> Polynomial:
+    """Full normal form of p modulo gens (every term reduced)."""
+    ctx = p.context
+    remainder = Polynomial.zero(ctx)
+    work = p
+    lead = [(pairset_leading_monomial(g, order), pairset_leading_coefficient(g, order), g)
+            for g in gens if g]
+    while not work.is_zero():
+        lm = pairset_leading_monomial(work, order)
+        lc = work.terms[lm]
+        for gm, gc, g in lead:
+            if _monomial_divides(gm, lm):
+                shift = _monomial_quot(lm, gm)
+                work = work - g * Polynomial.from_monomial(ctx, shift, lc / gc)
+                break
+        else:
+            t = Polynomial.from_monomial(ctx, lm, lc)
+            remainder = remainder + t
+            work = work - t
+    return remainder
+
+
+def pairset_s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    ctx = f.context
+    fm, gm = pairset_leading_monomial(f, order), pairset_leading_monomial(g, order)
+    lcm = _monomial_lcm(fm, gm)
+    fc, gc = f.terms[fm], g.terms[gm]
+    return (f * Polynomial.from_monomial(ctx, _monomial_quot(lcm, fm), 1 / fc)
+            - g * Polynomial.from_monomial(ctx, _monomial_quot(lcm, gm), 1 / gc))
+
+
+def pairset_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
+                       degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
+    """Reduced Groebner basis of the ideal generated by gens."""
+    basis = []
+    for g in sorted((g for g in gens if not g.is_zero()),
+                    key=lambda p: order.key(pairset_leading_monomial(p, order))):
+        monic = g * (1 / pairset_leading_coefficient(g, order))
+        if monic not in basis:
+            basis.append(monic)
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+
+    def pair_rank(ij):
+        lcm = _monomial_lcm(pairset_leading_monomial(basis[ij[0]], order),
+                            pairset_leading_monomial(basis[ij[1]], order))
+        return (sum(lcm), order.key(lcm), ij)
+
+    while pairs:
+        i, j = min(pairs, key=pair_rank)
+        pairs.discard((i, j))
+        fm = pairset_leading_monomial(basis[i], order)
+        gm = pairset_leading_monomial(basis[j], order)
+        lcm = _monomial_lcm(fm, gm)
+        if lcm == tuple(a + b for a, b in zip(fm, gm)):
+            continue  # coprime leading terms
+        chained = any(
+            k not in (i, j)
+            and _monomial_divides(pairset_leading_monomial(basis[k], order), lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k in range(len(basis))
+        )
+        if chained:
+            continue
+        if sum(lcm) > degree_cap:
+            raise DegreeCapExceeded(
+                f"S-pair degree {sum(lcm)} exceeds the cap {degree_cap}; "
+                "raise degree_cap if this ideal is really wanted")
+        rem = pairset_reduce_poly(pairset_s_polynomial(basis[i], basis[j], order),
+                                  basis, order)
+        if rem.is_zero():
+            continue
+        rem = rem * (1 / pairset_leading_coefficient(rem, order))
+        basis.append(rem)
+        new = len(basis) - 1
+        pairs.update((k, new) for k in range(new))
+    return _pairset_reduce_basis(basis, order)
+
+
+def _pairset_reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    # minimalize: drop generators whose leading monomial another one divides
+    keep: list[Polynomial] = []
+    lms = [pairset_leading_monomial(g, order) for g in basis]
+    for i, g in enumerate(basis):
+        if any(j != i and _monomial_divides(lms[j], lms[i])
+               and (not _monomial_divides(lms[i], lms[j]) or j < i)
+               for j in range(len(basis))):
+            continue
+        keep.append(g)
+    # tail-reduce each against the others until stable
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(keep)):
+            others = keep[:i] + keep[i + 1:]
+            red = pairset_reduce_poly(keep[i], others, order)
+            if red.is_zero():
+                keep.pop(i)
+                changed = True
+                break
+            red = red * (1 / pairset_leading_coefficient(red, order))
+            if red != keep[i]:
+                keep[i] = red
+                changed = True
+    keep.sort(key=lambda g: order.key(pairset_leading_monomial(g, order)), reverse=True)
+    return keep

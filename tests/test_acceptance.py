@@ -35,9 +35,9 @@ from eulersym import (
 )
 from eulersym import sampling
 from eulersym.cli import bundled_text
-from eulersym.model import random_ambient_point, random_image_point
+from eulersym.model import random_ambient_point
 from eulersym.specfiles import parse_param_file
-from helpers import random_poly
+from helpers import constrained_direction, random_image_point, random_poly
 
 BUNDLED_SYS = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -151,7 +151,7 @@ def test_criterion_05_orbit_curve_degrees():
     epr = _bundled("epr.sys")
     model = build_model(epr)
     rng = random.Random(7)
-    base_dirs = [sampling.constrained_direction(rng, 3, (0,)) for _ in range(20)]
+    base_dirs = [constrained_direction(rng, 3, (0,)) for _ in range(20)]
     generic = [sampling.generic_vector(rng, 3) for _ in range(20)]
     checks = [
         ("epr base directions give degree 1",

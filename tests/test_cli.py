@@ -146,6 +146,17 @@ def test_prolong_degree_above_rank_exits_2(capsys):
     assert "error: --degree 4 is out of range 1..3" in err
 
 
+def test_implicitize_degree_cap_exits_2(capsys):
+    # 8 ambient coordinates: C(47, 40) degree-40 monomials, past MAX_AMBIENT
+    start = time.perf_counter()
+    code, out, err = run(capsys, "implicitize", "epr.sys", "--degree", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --degree 40: 62891499 monomials of degree 40 in 8 coordinates "
+                   "exceed the cap 5000\n")
+
+
 BAD_FILES = {
     "zero-denominator-at": ("bad.par", b"vars: z\ncoords: z, z^2\nat: 1/0\n",
                             ["ff", "FILE"], "line 3, col 7: zero denominator"),
@@ -173,6 +184,17 @@ BAD_FILES = {
                     + b"\n", ["validate", "FILE"],
                     "line 1, col 7: ambient size (forms of degree <= 3 in 40 variables) "
                     "12341 exceeds the cap 5000"),
+    "long-numerator": ("big.sys", b"vars: x1 x2\nrank: 2\nF2: " + b"1" * 5000 + b"*x1^2\n",
+                       ["validate", "FILE"], "line 3, col 5: digit count 5000 exceeds the cap 1000"),
+    "long-denominator": ("big.sys", b"vars: x1 x2\nrank: 2\nF2: 1/" + b"7" * 5000 + b"*x1^2\n",
+                         ["validate", "FILE"],
+                         "line 3, col 7: digit count 5000 exceeds the cap 1000"),
+    "long-component-degree": ("big.sys", b"vars: x1 x2\nrank: 2\nF" + b"1" * 5000 + b": x1\n",
+                              ["validate", "FILE"],
+                              "line 3, col 2: digit count 5000 exceeds the cap 1000"),
+    "long-point": ("pts.txt", b"0, 1, -" + b"3" * 5000 + b"\n",
+                   ["saturated", "epr.sys", "--points", "FILE"],
+                   "line 1, col 7: digit count 5000 exceeds the cap 1000"),
 }
 
 

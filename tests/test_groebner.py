@@ -1,6 +1,7 @@
 """Buchberger, saturation and the zero-dimensionality test."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,11 +15,14 @@ from eulersym import (
     context,
     graded_component,
     is_zero_dimensional,
+    monomials_of_degree,
     saturate_ideal,
 )
-from eulersym.poly import GREVLEX, LEX
-from helpers import (colon_by_variable_power, elimination_saturate, intersect_ideals,
-                     random_poly)
+from eulersym.groebner import leading_monomial, reduce_poly
+from eulersym.poly import GREVLEX, LEX, MonomialOrder, grevlex_key, lex_key
+from eulersym import sampling
+from helpers import (block_order, colon_by_variable_power, elimination_saturate,
+                     intersect_ideals, pairset_buchberger, pairset_reduce_poly, random_poly)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -153,3 +157,95 @@ def test_saturation_against_independent_fixpoint_oracle():
     assert sat(ring.ideal(x1 * x2)) == ring.ideal(x1 * x2)
     assert sat(ring.ideal(x2 * x3, x1 * x3, x1 * x2)) == \
         ring.ideal(x2 * x3, x1 * x3, x1 * x2)
+
+
+def _sparse_ideal(seed):
+    """A few sparse generators of degree <= 3 in 2 to 4 variables."""
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(rng.randint(2, 4))))
+    monos = [m for d in range(4) for m in monomials_of_degree(ctx, d)]
+
+    def poly():
+        while True:
+            p = Polynomial(ctx, {rng.choice(monos): sampling.rational(rng)
+                                 for _ in range(rng.randint(1, 4))})
+            if p:
+                return p
+
+    return ctx, [poly() for _ in range(rng.randint(1, 3))], [poly() for _ in range(3)]
+
+
+def _basis_or_error(algorithm, gens, order, cap):
+    try:
+        return algorithm(gens, order, cap)
+    except DegreeCapExceeded as exc:
+        return f"DegreeCapExceeded: {exc}"
+
+
+def _cap(seed):
+    return 4 if seed % 4 == 3 else 8
+
+
+ORDERS = {"grevlex": GREVLEX, "lex": LEX, "block1": block_order(1), "block2": block_order(2)}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("seed", range(60))
+def test_buchberger_matches_the_pairset_oracle(seed, order):
+    # the heap, the lead cache and the dict-level normal form must follow
+    # the former pair trajectory exactly: same bases, same reductions, and
+    # the same DegreeCapExceeded message where the cap stops both (a cap of
+    # 8 keeps the former code under a second on its slowest case here)
+    ctx, gens, probes = _sparse_ideal(seed)
+    order = ORDERS[order]
+    cap = _cap(seed)
+    got = _basis_or_error(buchberger, gens, order, cap)
+    want = _basis_or_error(pairset_buchberger, gens, order, cap)
+    assert got == want
+    if isinstance(got, list):
+        assert [str(g) for g in got] == [str(g) for g in want]
+    for p in probes:
+        for modulo in (gens, got if isinstance(got, list) else []):
+            assert reduce_poly(p, modulo, order) == pairset_reduce_poly(p, modulo, order)
+
+
+def test_the_oracle_cases_include_capped_ones():
+    capped = [seed for seed in range(60)
+              if isinstance(_basis_or_error(buchberger, _sparse_ideal(seed)[1],
+                                            GREVLEX, _cap(seed)), str)]
+    assert len(capped) >= 3
+
+
+def _sympy_basis(sympy, gens, ctx, order):
+    xs = sympy.symbols(ctx.names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+        x**e for x, e in zip(xs, m)) for m, c in g.terms.items()) for g in gens]
+    out = []
+    for g in sympy.groebner(exprs, *xs, order=order).exprs:
+        terms = sympy.Poly(g, *xs).terms()
+        out.append(Polynomial(ctx, {m: Fraction(int(c.p), int(c.q)) for m, c in terms}))
+    return out
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("seed", range(60))
+def test_buchberger_matches_sympy(seed, order):
+    sympy = pytest.importorskip("sympy")
+    ctx, gens, _ = _sparse_ideal(seed)
+    got = buchberger(gens, ORDERS[order])
+    want = _sympy_basis(sympy, gens, ctx, order)
+    assert sorted(got, key=str) == sorted(want, key=str)
+
+
+def test_orders_sharing_a_name_keep_their_own_leading_monomials():
+    # the cache is keyed by the order object, so a second order with the
+    # same name cannot read the first one's answer
+    by_degree = MonomialOrder("same", grevlex_key)
+    by_letter = MonomialOrder("same", lex_key)
+    p = X2**2 + X1 * X3
+    assert leading_monomial(p, by_degree) == (0, 2, 0)
+    assert leading_monomial(p, by_letter) == (1, 0, 1)
+    assert leading_monomial(p, by_degree) == (0, 2, 0)
+    g = X2**2 - X1 * X3
+    assert reduce_poly(p, [g], by_degree) == 2 * X1 * X3
+    assert reduce_poly(p, [g], by_letter) == 2 * X2**2

@@ -25,9 +25,9 @@ from eulersym import (
 )
 from eulersym import sampling
 from eulersym.cli import bundled_text
-from eulersym.model import random_ambient_point, random_image_point
+from eulersym.model import random_ambient_point
 
-from helpers import chain_group_act, sampled_implicitize
+from helpers import chain_group_act, random_image_point, sampled_implicitize
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 

@@ -21,6 +21,8 @@ from eulersym import (
     translate,
 )
 from eulersym import sampling
+from eulersym.groebner import leading_monomial, reduce_poly
+from eulersym.poly import GREVLEX, LEX
 from helpers import random_poly
 
 CTX2 = context("x1", "x2")
@@ -123,3 +125,35 @@ def test_format_polynomial():
     assert format_polynomial(p) == "3/2*x1^2*x2 - x3 + 1"
     assert format_polynomial(Polynomial.zero(CTX3)) == "0"
     assert format_polynomial(-X1) == "-x1"
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), small_fractions, max_size=5,
+).map(lambda terms: Polynomial(CTX3, terms))
+
+
+def _is_clean(q):
+    return (Polynomial(q.context, q.terms).terms == q.terms
+            and all(type(c) is Fraction and c for c in q.terms.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials, polynomials, polynomials, small_fractions, st.integers(-3, 3),
+       st.integers(0, 2))
+def test_arithmetic_results_are_clean(p, q, r, c, k, i):
+    # the trusted constructor skips the checks, so every result that goes
+    # through it must be exactly what the checking constructor would build
+    results = [p + q, p - q, -p, p * q, p * c, p * k, k * p, p + k, p - c, c - p,
+               p.derivative(i), p**2]
+    for order in (GREVLEX, LEX):
+        results.append(reduce_poly(p, [q, r], order))
+    for out in results:
+        assert _is_clean(out)
+        if out:
+            assert leading_monomial(out, GREVLEX) == GREVLEX.max(out.terms)
+            assert leading_monomial(out, LEX) == LEX.max(out.terms)
+            assert leading_monomial(out, GREVLEX) == GREVLEX.max(out.terms)
+    # equality and hashing ignore the cached leading monomial
+    fresh = Polynomial(CTX3, p.terms)
+    assert fresh == p and hash(fresh) == hash(p)
