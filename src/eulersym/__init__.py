@@ -14,8 +14,8 @@ from .model import (EulerModel, ProjectivePoint, build_model, euler_act,
 from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VarContext,
                    compose_linear, context, contract, evaluate,
                    format_polynomial, polarize, translate)
-from .spaces import (FormSpace, intersect_spaces, kernel_of_map,
-                     monomials_of_degree, sum_spaces, vanishing_space)
+from .spaces import (FormSpace, kernel_of_map, monomials_of_degree,
+                     vanishing_space)
 from .specfiles import (ParamFile, SymbolFile, format_symbol_file,
                         parse_param_file, parse_polynomial, parse_symbol_file,
                         system_from_file)

@@ -396,11 +396,18 @@ def cmd_implicitize(args) -> int:
 
 
 def _load_parametrization(args, report: Report) -> Parametrization | None:
+    """Parse a parametrization (or a system's chart); on failure fill the
+    report and return None."""
     name, text, digest = _read_source(args.file)
     report.input_name = name
     report.digest = digest
     if args.chart:
-        system = system_from_file(text)
+        try:
+            system = system_from_file(text)
+        except InvalidSymbolSystem as exc:
+            for d in exc.diagnostics:
+                report.add("fail", "structure", d)
+            return None
         model = build_model(system)
         param = Parametrization(system.context, tuple(model.chart_functions()))
     else:
@@ -423,11 +430,8 @@ def _parse_at(text: str, n: int) -> tuple[Fraction, ...]:
 
 def cmd_ff(args) -> int:
     report = Report("ff")
-    try:
-        param = _load_parametrization(args, report)
-    except InvalidSymbolSystem as exc:
-        for d in exc.diagnostics:
-            report.add("fail", "structure", d)
+    param = _load_parametrization(args, report)
+    if param is None:
         return report.emit(args.json)
     base = _parse_at(args.at, param.context.n) if args.at else None
     try:
@@ -453,11 +457,8 @@ def cmd_ff(args) -> int:
 
 def cmd_cartan(args) -> int:
     report = Report("cartan", seed=args.seed)
-    try:
-        param = _load_parametrization(args, report)
-    except InvalidSymbolSystem as exc:
-        for d in exc.diagnostics:
-            report.add("fail", "structure", d)
+    param = _load_parametrization(args, report)
+    if param is None:
         return report.emit(args.json)
     cr = cartan_check(param, trials=args.trials, seed=args.seed)
     for i, entry in enumerate(cr.entries, start=1):

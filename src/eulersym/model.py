@@ -18,8 +18,8 @@ in F^(k-1).  Block 0 is F^0 = <1>, so the t and w blocks need no special
 case, and N_v^(r+1) = 0 makes the exponential a finite sum.
 
 The torus acts with weight k on block k, so the ideal of the model is
-graded by torus weight: `implicitize` finds its degree-d piece as a
-direct sum of small exact kernels, one per weight, with no sampling.
+graded by torus weight: `implicitize` finds its degree-d piece as one
+exact sparse kernel, which splits by weight on its own, with no sampling.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import sampling
 from .poly import Polynomial, VarContext, _as_scalar, contract, evaluate
-from .spaces import FormSpace, monomials_of_degree, nullspace
+from .spaces import FormSpace, kernel_of_map, monomials_of_degree
 from .systems import SymbolSystem, _basis_vector, assemble
 
 
@@ -126,6 +126,8 @@ def phi_eval(model: EulerModel, t, w: Sequence) -> ProjectivePoint:
     """Value of the defining map at [t : w]."""
     t = _as_scalar(t)
     w = tuple(_as_scalar(c) for c in w)
+    if len(w) != model.system.context.n:
+        raise ValueError(f"chart point needs {model.system.context.n} coordinates")
     r = model.rank
     coords = [t**r]
     coords.extend(t ** (r - 1) * wi for wi in w)
@@ -175,6 +177,8 @@ def orbit_curve_degree(model: EulerModel, w: Sequence) -> int:
     curve is [1 : s*w : s^2 iota_w^2 : ... ] in the blocked coordinates.
     """
     w = tuple(_as_scalar(c) for c in w)
+    if len(w) != model.system.context.n:
+        raise ValueError(f"orbit direction needs {model.system.context.n} coordinates")
     if not any(w):
         raise ValueError("orbit direction must be a nonzero vector")
     for k in range(model.rank, 1, -1):
@@ -217,23 +221,18 @@ def pullback(model: EulerModel, p: Polynomial) -> Polynomial:
 
 
 def implicitize(model: EulerModel, degree: int) -> FormSpace:
-    """Degree-d forms vanishing on the model, as exact torus-weight kernels.
+    """Degree-d forms vanishing on the model, as one exact sparse kernel.
 
     Write f = (1, w, b^2, ..., b^r) for the chart functions, of weights
     0, 1, ..., r.  Under phi(t, w) a degree-d ambient monomial m of weight
     e = sum wt_j m_j pulls back to t^(rd-e) prod f_j^(m_j), and that
-    product is a form of degree e in w.  Monomials of different weights
-    therefore cannot cancel, and a form vanishes on the model exactly
-    when each weight part does: I(X)_d is the direct sum over e of the
-    kernels of the coefficient matrices of the pullbacks of weight e.
+    product is a form of degree e in w, so a w-monomial alone fixes the
+    power of t.  A form sum c_m m therefore vanishes on the model exactly
+    when every w-coefficient of sum c_m prod f^m does: I(X)_d is the kernel
+    of m -> prod f^m, labelled by w-monomials.  Those labels never mix
+    weights, so the kernel splits by torus weight on its own.
     """
-    ctx = model.system.context
-    charts = [Polynomial.constant(ctx, 1)] + model.chart_functions()
-    wt = [k for k, (start, stop) in enumerate(model.block_bounds)
-          for _ in range(start, stop)]
-    groups: dict[int, list] = {}
-    for m in monomials_of_degree(model.ambient, degree):
-        groups.setdefault(sum(w * e for w, e in zip(wt, m)), []).append(m)
+    charts = [Polynomial.constant(model.system.context, 1)] + model.chart_functions()
     products = {(0,) * model.ambient_dim: charts[0]}
 
     def product(m):
@@ -243,14 +242,5 @@ def implicitize(model: EulerModel, degree: int) -> FormSpace:
             products[m] = product(m[:j] + (m[j] - 1,) + m[j + 1:]) * charts[j]
         return products[m]
 
-    relations = []
-    for monos in groups.values():
-        if len(monos) < 2:
-            continue  # a single product of nonzero forms is nonzero
-        images = [product(m) for m in monos]
-        support = sorted({e for p in images for e in p.terms})
-        rows = [[p.coefficient(e) for p in images] for e in support]
-        for vec in nullspace(rows, len(monos)):
-            relations.append(Polynomial(
-                model.ambient, {m: c for m, c in zip(monos, vec) if c}))
-    return FormSpace.span(relations, model.ambient, degree)
+    return kernel_of_map(model.ambient, degree, {
+        m: product(m).terms for m in monomials_of_degree(model.ambient, degree)})

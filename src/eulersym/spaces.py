@@ -4,14 +4,18 @@ A FormSpace stores the reduced row-echelon basis of its span over the
 monomial basis of degree k, monomials sorted descending in grevlex.
 The representation is canonical, so two spaces are equal exactly when
 their bases coincide term by term.
+
+A space is given either by spanning forms (`FormSpace.span`) or by
+linear conditions (`kernel_of_map`, which `vanishing_space`, `prolong`
+and `implicitize` call); each takes one fraction-free `rref`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from math import comb, gcd, lcm, prod
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatchError, HomogeneityError
 from .poly import GREVLEX, Monomial, Polynomial, VarContext
@@ -55,9 +59,9 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         return [], []
     basis: dict[int, dict[int, int]] = {}  # pivot column -> primitive row
     for row in rows:
-        den = lcm(*(c.denominator for c in row if c))
-        r = _content_free({j: c.numerator * (den // c.denominator)
-                           for j, c in enumerate(row) if c})
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        den = lcm(*(c.denominator for _, c in nonzero))
+        r = _content_free({j: c.numerator * (den // c.denominator) for j, c in nonzero})
         for j in [j for j in r if j in basis]:  # pivot rows are 0 on other pivots
             r = _eliminate(r, basis[j], j)
         if r:
@@ -244,86 +248,37 @@ def _check_compatible(s: FormSpace, t: FormSpace):
             f"cannot combine spaces of degrees {s.degree} and {t.degree}")
 
 
-def sum_spaces(s: FormSpace, t: FormSpace) -> FormSpace:
-    _check_compatible(s, t)
-    return FormSpace.span(list(s.basis) + list(t.basis), s.context, s.degree)
-
-
-def intersect_spaces(s: FormSpace, t: FormSpace) -> FormSpace:
-    """Exact intersection via the nullspace of stacked coordinate columns."""
-    _check_compatible(s, t)
-    if s.is_zero() or t.is_zero():
-        return FormSpace.zero(s.context, s.degree)
-    monos = monomials_of_degree(s.context, s.degree)
-    index = {m: j for j, m in enumerate(monos)}
-
-    def col(p):
-        v = [Fraction(0)] * len(monos)
-        for e, c in p.terms.items():
-            v[index[e]] = c
-        return v
-
-    scols = [col(p) for p in s.basis]
-    tcols = [col(p) for p in t.basis]
-    width = len(scols) + len(tcols)
-    rows = []
-    for j in range(len(monos)):
-        rows.append([c[j] for c in scols] + [-c[j] for c in tcols])
-    combos = nullspace(rows, width)
-    polys = []
-    for combo in combos:
-        p = Polynomial.zero(s.context)
-        for a, b in zip(combo[: len(scols)], s.basis):
-            if a:
-                p = p + b * a
-        polys.append(p)
-    return FormSpace.span(polys, s.context, s.degree)
-
-
 def kernel_of_map(ctx: VarContext, degree: int,
-                  images: Mapping[Monomial, Sequence[Sequence[Fraction]]]) -> FormSpace:
+                  images: Mapping[Monomial, Mapping[Hashable, Fraction]]) -> FormSpace:
     """Forms of the given degree killed by a linear map described on monomials.
 
-    `images` assigns to every degree-`degree` monomial a list of coordinate
-    vectors (the map's value on that basis monomial, blocked however the
-    caller likes); the blocks are concatenated internally.
+    `images[m]` is the map's value on the degree-`degree` monomial m, as a
+    sparse {label: exact value}; labels are any hashables, and a missing
+    label is zero.  The condition matrix gets one row per label and its
+    columns in ascending grevlex, so the kernel vector of a free column has
+    that column as its largest monomial and is zero on every other free
+    column: `nullspace` already returns the canonical echelon basis, with
+    the largest pivot last, and no second elimination is needed.
     """
-    monos = monomials_of_degree(ctx, degree)
-    flat = {}
-    length = None
-    for m in monos:
-        vecs = images[m]
-        v = [c for block in vecs for c in block]
-        if length is None:
-            length = len(v)
-        elif len(v) != length:
-            raise ValueError("inconsistent image vector lengths")
-        flat[m] = v
-    rows = [[flat[m][i] for m in monos] for i in range(length or 0)]
-    combos = nullspace(rows, len(monos))
-    polys = [
-        Polynomial(ctx, {m: c for m, c in zip(monos, combo) if c})
-        for combo in combos
-    ]
-    return FormSpace.span(polys, ctx, degree)
+    monos = monomials_of_degree(ctx, degree)[::-1]
+    rows: dict[Hashable, list[Fraction]] = {}
+    for j, m in enumerate(monos):
+        for label, c in images[m].items():
+            if c:
+                if label not in rows:
+                    rows[label] = [Fraction(0)] * len(monos)
+                rows[label][j] = c
+    basis, pivots = [], []
+    for vec in reversed(nullspace(list(rows.values()), len(monos))):
+        terms = {m: c for m, c in zip(monos, vec) if c}
+        basis.append(Polynomial._trusted(ctx, terms))
+        pivots.append(next(reversed(terms)))  # the free column: largest monomial
+    return FormSpace(ctx, degree, basis, pivots)
 
 
 def vanishing_space(ctx: VarContext, degree: int, points: Sequence[Sequence]) -> FormSpace:
     """Forms of the given degree vanishing at every listed point."""
-    monos = monomials_of_degree(ctx, degree)
-    rows = []
-    for pt in points:
-        mono_vals = []
-        for m in monos:
-            val = Fraction(1)
-            for c, e in zip(pt, m):
-                if e:
-                    val *= Fraction(c) ** e
-            mono_vals.append(val)
-        rows.append(mono_vals)
-    combos = nullspace(rows, len(monos))
-    polys = [
-        Polynomial(ctx, {m: c for m, c in zip(monos, combo) if c})
-        for combo in combos
-    ]
-    return FormSpace.span(polys, ctx, degree)
+    points = [[Fraction(c) for c in pt] for pt in points]
+    return kernel_of_map(ctx, degree, {
+        m: {i: prod(c**e for c, e in zip(pt, m)) for i, pt in enumerate(points)}
+        for m in monomials_of_degree(ctx, degree)})

@@ -20,7 +20,7 @@ from .errors import InvalidSymbolSystem, SaturationPreconditionError
 from .groebner import (GroebnerBasis, graded_component, is_zero_dimensional,
                        saturate_ideal)
 from .poly import Polynomial, VarContext, contract, default_context
-from .spaces import FormSpace, monomials_of_degree, nullspace
+from .spaces import FormSpace, kernel_of_map, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -117,28 +117,24 @@ def prolong(space: FormSpace) -> FormSpace:
     whose residue modulo `space` is read off the echelon basis: a
     non-pivot monomial is its own residue, and the pivot of basis row b
     has residue m - b.  Residues live on the non-pivot monomials, so the
-    constraints are indexed by (i, non-pivot monomial).
+    constraints are labelled (i, non-pivot monomial).
     """
     k = space.degree
     if k < 1:
         raise ValueError("prolongation needs a component of degree >= 1")
     ctx = space.context
     pivots = set(space.pivots)
-    free = {m: j for j, m in enumerate(
-        m for m in monomials_of_degree(ctx, k) if m not in pivots)}
-    residue = {m: [(j, Fraction(1))] for m, j in free.items()}
+    residue = {m: [(m, Fraction(1))] for m in monomials_of_degree(ctx, k) if m not in pivots}
     for m, b in zip(space.pivots, space.basis):
-        residue[m] = [(free[mm], -c) for mm, c in b.terms.items() if mm != m]
-    monos = monomials_of_degree(ctx, k + 1)
-    rows = [[Fraction(0)] * len(monos) for _ in range(ctx.n * len(free))]
-    for col, big in enumerate(monos):
+        residue[m] = [(mm, -c) for mm, c in b.terms.items() if mm != m]
+    images = {}
+    for big in monomials_of_degree(ctx, k + 1):
+        images[big] = image = {}
         for i, e in enumerate(big):
             if e:
-                for j, c in residue[big[:i] + (e - 1,) + big[i + 1:]]:
-                    rows[i * len(free) + j][col] = e * c
-    kernel = nullspace(rows, len(monos))
-    return FormSpace.span(
-        [Polynomial(ctx, {m: c for m, c in zip(monos, v) if c}) for v in kernel], ctx, k + 1)
+                for mm, c in residue[big[:i] + (e - 1,) + big[i + 1:]]:
+                    image[i, mm] = e * c
+    return kernel_of_map(ctx, k + 1, images)
 
 
 def from_polynomial(p: Polynomial) -> SymbolSystem:

@@ -3,16 +3,16 @@
 import random
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from eulersym import (GREVLEX, DegreeCapExceeded, FormSpace, GroebnerBasis,
                       MonomialOrder, Polynomial, ProjectivePoint, VarContext, buchberger,
-                      contract, evaluate, kernel_of_map, monomials_of_degree, phi_eval,
-                      vanishing_space)
+                      contract, evaluate, monomials_of_degree, phi_eval)
 from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
                                _monomial_quot)
 from eulersym.model import EulerModel
 from eulersym.poly import Monomial, grevlex_key
+from eulersym.spaces import nullspace
 from eulersym import sampling
 
 
@@ -72,7 +72,7 @@ def sampled_implicitize(model, degree: int, samples: int | None = None,
             f"{samples} samples cannot pin down {need} monomial coefficients")
     rng = random.Random(seed)
     points = [random_image_point(model, rng) for _ in range(samples)]
-    space = vanishing_space(model.ambient, degree, [p.coords for p in points])
+    space = dense_vanishing_space(model.ambient, degree, [p.coords for p in points])
     fresh = [random_image_point(model, rng) for _ in range(2 * samples)]
     for g in space.basis:
         for p in fresh:
@@ -181,7 +181,61 @@ def contraction_prolong(space: FormSpace) -> FormSpace:
             row = [residue.coefficient(mm) for mm in monomials_of_degree(ctx, k)]
             blocks.append(row)
         images[m] = blocks
-    return kernel_of_map(ctx, k + 1, images)
+    return dense_kernel_of_map(ctx, k + 1, images)
+
+
+# ---------------------------------------------------------------------------
+# the library's former kernels: a dense matrix, `nullspace`, then a second
+# elimination through `FormSpace.span`; kept as independent oracles for the
+# sparse one-elimination `kernel_of_map` and `vanishing_space`
+
+def dense_kernel_of_map(ctx: VarContext, degree: int,
+                        images: Mapping[Monomial, Sequence[Sequence[Fraction]]]) -> FormSpace:
+    """Forms of the given degree killed by a linear map described on monomials.
+
+    `images` assigns to every degree-`degree` monomial a list of coordinate
+    vectors (the map's value on that basis monomial, blocked however the
+    caller likes); the blocks are concatenated internally.
+    """
+    monos = monomials_of_degree(ctx, degree)
+    flat = {}
+    length = None
+    for m in monos:
+        vecs = images[m]
+        v = [c for block in vecs for c in block]
+        if length is None:
+            length = len(v)
+        elif len(v) != length:
+            raise ValueError("inconsistent image vector lengths")
+        flat[m] = v
+    rows = [[flat[m][i] for m in monos] for i in range(length or 0)]
+    combos = nullspace(rows, len(monos))
+    polys = [
+        Polynomial(ctx, {m: c for m, c in zip(monos, combo) if c})
+        for combo in combos
+    ]
+    return FormSpace.span(polys, ctx, degree)
+
+
+def dense_vanishing_space(ctx: VarContext, degree: int, points: Sequence[Sequence]) -> FormSpace:
+    """Forms of the given degree vanishing at every listed point."""
+    monos = monomials_of_degree(ctx, degree)
+    rows = []
+    for pt in points:
+        mono_vals = []
+        for m in monos:
+            val = Fraction(1)
+            for c, e in zip(pt, m):
+                if e:
+                    val *= Fraction(c) ** e
+            mono_vals.append(val)
+        rows.append(mono_vals)
+    combos = nullspace(rows, len(monos))
+    polys = [
+        Polynomial(ctx, {m: c for m, c in zip(monos, combo) if c})
+        for combo in combos
+    ]
+    return FormSpace.span(polys, ctx, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,17 @@ def test_euler_act_rejects_a_point_of_the_wrong_length():
             euler_act(model, 2, ProjectivePoint(coords))
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_phi_eval_and_orbit_degree_reject_a_direction_of_the_wrong_length(rank):
+    # rank 1 evaluates no form of w, so only the length check can catch a long w
+    model = build_model(full_system(2, rank))
+    for w in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="chart point needs 2 coordinates"):
+            phi_eval(model, 1, w)
+        with pytest.raises(ValueError, match="orbit direction needs 2 coordinates"):
+            orbit_curve_degree(model, w)
+
+
 def test_orbit_curve_degrees_on_the_scroll():
     model = build_model(_bundled("epr.sys"))
     assert orbit_curve_degree(model, (1, 0, 0)) == 3

@@ -12,13 +12,13 @@ from eulersym import (
     HomogeneityError,
     Polynomial,
     context,
-    intersect_spaces,
+    kernel_of_map,
     monomials_of_degree,
-    sum_spaces,
     vanishing_space,
 )
+from eulersym.poly import default_context
 from eulersym.spaces import rref
-from helpers import dense_rref, random_poly
+from helpers import dense_kernel_of_map, dense_rref, dense_vanishing_space
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -71,19 +71,6 @@ def test_reduce_kills_exactly_the_span():
     assert s.reduce(5 * X1 * X2).is_zero()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 3))
-def test_dimension_formula_for_sum_and_intersection(seed, degree):
-    rng = random.Random(seed)
-    a = FormSpace.span([random_poly(rng, CTX, degree) for _ in range(rng.randint(1, 3))])
-    b = FormSpace.span([random_poly(rng, CTX, degree) for _ in range(rng.randint(1, 3))])
-    total = sum_spaces(a, b)
-    meet = intersect_spaces(a, b)
-    assert total.dim + meet.dim == a.dim + b.dim
-    assert meet <= a and meet <= b
-    assert a <= total and b <= total
-
-
 def test_vanishing_space():
     pts = [(1, 0, 0), (0, 1, 0)]
     v = vanishing_space(CTX, 2, pts)
@@ -91,6 +78,65 @@ def test_vanishing_space():
     assert v.dim == 4
     assert v.contains(X1 * X2) and v.contains(X3**2)
     assert not v.contains(X1**2)
+
+
+def test_vanishing_space_matches_the_dense_oracle():
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        ctx = default_context(n)
+        for degree in (0, 1, 2, 3):
+            for count in (0, 1, 3, 8, 12):
+                pts = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                       for _ in range(count)]
+                if pts:
+                    pts.append(list(pts[0]))  # a repeated point
+                assert vanishing_space(ctx, degree, pts) == \
+                    dense_vanishing_space(ctx, degree, pts)
+
+
+LABELS = [0, 1, "a", (0, 1), ((1, 0), 2)]
+
+
+@st.composite
+def sparse_maps(draw):
+    """A linear map on the degree-d monomials (n <= 3, d <= 3) as sparse images,
+    with zero, repeated and dependent images among them."""
+    ctx = default_context(draw(st.integers(1, 3)))
+    degree = draw(st.integers(0, 3))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    images = {}
+    for m in monomials_of_degree(ctx, degree):
+        done = list(images.values())
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            image = {}
+        elif kind == "repeat" and done:
+            image = dict(draw(st.sampled_from(done)))
+        elif kind == "combine" and done:
+            a, b = draw(st.sampled_from(done)), draw(st.sampled_from(done))
+            s, t = draw(entry), draw(entry)
+            image = {l: s * a.get(l, 0) + t * b.get(l, 0) for l in set(a) | set(b)}
+        else:
+            image = {l: draw(entry) for l in draw(st.lists(st.sampled_from(LABELS),
+                                                           max_size=len(LABELS)))}
+        images[m] = image
+    return ctx, degree, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_maps())
+def test_kernel_of_map_is_the_canonical_kernel(case):
+    ctx, degree, images = case
+    kernel = kernel_of_map(ctx, degree, images)
+    dense = {m: [[image.get(l, 0) for l in LABELS]] for m, image in images.items()}
+    assert kernel == dense_kernel_of_map(ctx, degree, dense)
+    respan = FormSpace.span(kernel.basis, ctx, degree)
+    assert kernel.basis == respan.basis and kernel.pivots == respan.pivots
+    for b in kernel.basis:
+        assert b == Polynomial(ctx, b.terms)
+        assert all(type(c) is Fraction and c for c in b.terms.values())
+        for l in LABELS:
+            assert sum(c * images[m].get(l, 0) for m, c in b.terms.items()) == 0
 
 
 @st.composite
