@@ -7,6 +7,10 @@ timestamp or an absolute path), one line per check tagged [pass],
 passed, 1 at least one failed (including a FALSE answer from the
 saturation predicate), 2 unusable input or bad invocation.
 
+`main` loads and validates the input into a fresh report, runs the
+subcommand's `cmd_*` function, which only adds entries, then renders the
+report and sets the exit code; an invalid system skips the command.
+
 Inputs are looked up on disk first, then among the bundled examples
 (`eulersym examples` lists them), so `eulersym order epr.sys` works
 from any directory.
@@ -34,8 +38,8 @@ from .errors import (
     ParseError,
     TruncationError,
 )
-from .groebner import graded_component, saturate_ideal
-from .jets import Parametrization, cartan_check, extract_fundamental_forms, jet_filtration
+from .groebner import graded_component, is_zero_dimensional, saturate_ideal
+from .jets import Parametrization, cartan_check, extract_fundamental_forms
 from .model import (
     EulerModel,
     build_model,
@@ -49,16 +53,20 @@ from .model import (
 )
 from .poly import format_polynomial
 from .spaces import FormSpace, vanishing_space
-from .specfiles import MAX_AMBIENT, parse_param_file, parse_point_file, system_from_file
+from .specfiles import (MAX_AMBIENT, MAX_TRIALS, _parse_rational_list, parse_param_file,
+                        parse_point_file, system_from_file)
 from .systems import SymbolSystem, is_saturated, order, prolong
 
 
+class Unusable(Exception):
+    """An invocation that cannot run on a valid input (exit 2)."""
+
+
 class Report:
-    def __init__(self, command: str, input_name: str | None = None,
-                 digest: str | None = None, seed: int | None = None):
+    def __init__(self, command: str, seed: int | None = None):
         self.command = command
-        self.input_name = input_name
-        self.digest = digest
+        self.input_name: str | None = None
+        self.digest: str | None = None
         self.seed = seed
         self.entries: list[tuple[str, str, str]] = []
 
@@ -91,10 +99,6 @@ class Report:
         lines.extend(f"[{s}] {t}: {d}" for s, t, d in self.entries)
         lines.append(f"result: {result}")
         return "\n".join(lines)
-
-    def emit(self, as_json: bool) -> int:
-        print(self.render(as_json))
-        return 1 if self.failed else 0
 
 
 def bundled_names() -> list[str]:
@@ -130,21 +134,40 @@ def _read_source(arg: str) -> tuple[str, str, str]:
     return name, text, hashlib.sha256(data).hexdigest()[:12]
 
 
-def _load_system(arg: str, report: Report) -> SymbolSystem | None:
-    """Parse and validate; on failure fill the report and return None."""
-    name, text, digest = _read_source(arg)
-    report.input_name = name
-    report.digest = digest
+def _read_input(args, report: Report, parse):
+    """`parse` applied to the text of `args.file`, with the input named in
+    the report header; None, with the report failed, on an invalid system."""
+    report.input_name, text, report.digest = _read_source(args.file)
     try:
-        system = system_from_file(text)
+        return parse(text)
     except InvalidSymbolSystem as exc:
         for d in exc.diagnostics:
             report.add("fail", "structure", d)
         return None
-    report.add("pass", "structure",
-               f"valid symbol system of rank {system.rank}, "
-               f"component dims {_dims(system.dims)}")
+
+
+def _load_system(args, report: Report) -> SymbolSystem | None:
+    system = _read_input(args, report, system_from_file)
+    if system is not None:
+        report.add("pass", "structure",
+                   f"valid symbol system of rank {system.rank}, "
+                   f"component dims {_dims(system.dims)}")
     return system
+
+
+def _chart(model: EulerModel) -> Parametrization:
+    """The graph chart of a model as a parametrization."""
+    return Parametrization(model.system.context, tuple(model.chart_functions()))
+
+
+def _load_parametrization(args, report: Report) -> Parametrization | None:
+    """A `.par` input, or under --chart the graph chart of a system's model."""
+    def parse(text: str) -> Parametrization:
+        if args.chart:
+            return _chart(build_model(system_from_file(text)))
+        pf = parse_param_file(text)
+        return Parametrization(pf.context, pf.coords, base_point=pf.base_point)
+    return _read_input(args, report, parse)
 
 
 def _dims(dims) -> str:
@@ -164,24 +187,14 @@ def _span(space: FormSpace) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_validate(args) -> int:
-    report = Report("validate")
-    system = _load_system(args.file, report)
-    if system is not None:
-        for k in range(system.rank + 1):
-            report.add("info", f"F{k}", _span(system.component(k)))
-    return report.emit(args.json)
+def cmd_validate(args, report: Report, system: SymbolSystem):
+    for k in range(system.rank + 1):
+        report.add("info", f"F{k}", _span(system.component(k)))
 
 
-def cmd_prolong(args) -> int:
-    report = Report("prolong")
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_prolong(args, report: Report, system: SymbolSystem):
     if args.degree is not None and args.degree > system.rank:
-        print(f"error: --degree {args.degree} is out of range 1..{system.rank}",
-              file=sys.stderr)
-        return 2
+        raise Unusable(f"--degree {args.degree} is out of range 1..{system.rank}")
     degrees = [args.degree] if args.degree is not None else list(range(1, system.rank + 1))
     for k in degrees:
         p = prolong(system.component(k))
@@ -190,51 +203,36 @@ def cmd_prolong(args) -> int:
         report.add("info", f"prolong-F{k}-vs-F{k + 1}",
                    "equal" if p == nxt else
                    f"differ (prolongation dim {p.dim}, component dim {nxt.dim})")
-    return report.emit(args.json)
 
 
-def cmd_order(args) -> int:
-    report = Report("order")
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
-    from .groebner import is_zero_dimensional
-    for k in range(1, system.rank + 1):
-        empty = is_zero_dimensional(system.component(k))
-        report.add("info", f"base-locus-F{k}", "empty" if empty else "nonempty")
-    report.add("info", "order", str(order(system)))
-    return report.emit(args.json)
+def cmd_order(args, report: Report, system: SymbolSystem):
+    empty = [is_zero_dimensional(system.component(k)) for k in range(1, system.rank + 1)]
+    for k, flag in enumerate(empty, start=1):
+        report.add("info", f"base-locus-F{k}", "empty" if flag else "nonempty")
+    # the order is the degree just below the first nonempty base locus
+    report.add("info", "order", str(empty.index(False) if False in empty else system.rank))
 
 
-def cmd_baselocus(args) -> int:
-    report = Report("baselocus")
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_baselocus(args, report: Report, system: SymbolSystem):
     m = order(system)
     report.add("info", "order", str(m))
     if m == system.rank or system.component(m + 1).is_zero():
         report.add("info", "base-ideal",
                    f"F{m + 1} is zero, so the base locus is all of projective space")
-        return report.emit(args.json)
+        return
     gb = saturate_ideal(list(system.component(m + 1).basis))
     report.add("info", "base-ideal",
                "saturated ideal of F%d = (%s)" % (
                    m + 1, ", ".join(format_polynomial(g) for g in gb.polys)))
-    return report.emit(args.json)
 
 
-def cmd_saturated(args) -> int:
-    report = Report("saturated")
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_saturated(args, report: Report, system: SymbolSystem):
     m = order(system)
     if m != 1:
         report.add("fail", "order",
                    f"the saturation predicate is defined for order 1, "
                    f"this system has order {m}")
-        return report.emit(args.json)
+        return
     report.add("info", "order", "1")
     res = is_saturated(system)
     report.add("info", "base-ideal",
@@ -250,7 +248,6 @@ def cmd_saturated(args) -> int:
     report.add("info", "saturated", "TRUE" if res.saturated else "FALSE")
     if args.points:
         _cross_check_points(args.points, system, report)
-    return report.emit(args.json)
 
 
 def _cross_check_points(path: str, system: SymbolSystem, report: Report):
@@ -279,11 +276,7 @@ def _cross_check_points(path: str, system: SymbolSystem, report: Report):
                    f"needed to cut the space down")
 
 
-def cmd_model(args) -> int:
-    report = Report("model")
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_model(args, report: Report, system: SymbolSystem):
     model = build_model(system)
     report.add("info", "ambient",
                f"projective space of dimension {model.ambient_dim - 1} "
@@ -293,7 +286,6 @@ def cmd_model(args) -> int:
         names = " ".join(model.ambient.names[start:stop])
         weight = f"torus weight {k}"
         report.add("info", f"block-{k}", f"{names or '-'} ({weight})")
-    return report.emit(args.json)
 
 
 def _action_counts(model: EulerModel, rng: random.Random, trials: int) -> dict[str, int]:
@@ -334,23 +326,14 @@ def _orbit_degrees(model: EulerModel, rng: random.Random, trials: int) -> list[i
             for _ in range(trials)]
 
 
-def cmd_act_check(args) -> int:
-    report = Report("act-check", seed=args.seed)
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_act_check(args, report: Report, system: SymbolSystem):
     checks = _action_counts(build_model(system), random.Random(args.seed), args.trials)
     for tag, good in checks.items():
         report.add("pass" if good == args.trials else "fail", tag,
                    f"{good}/{args.trials} random instances exact")
-    return report.emit(args.json)
 
 
-def cmd_curve_degrees(args) -> int:
-    report = Report("curve-degrees", seed=args.seed)
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_curve_degrees(args, report: Report, system: SymbolSystem):
     degrees = _orbit_degrees(build_model(system), random.Random(args.seed), args.trials)
     hist = {}
     for d in degrees:
@@ -366,21 +349,14 @@ def cmd_curve_degrees(args) -> int:
                    "" if lo == m else
                    " (sampling may have missed the base locus; raise --trials "
                    "or note that the minimizing directions may be irrational)"))
-    return report.emit(args.json)
 
 
-def cmd_implicitize(args) -> int:
-    report = Report("implicitize")
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_implicitize(args, report: Report, system: SymbolSystem):
     model = build_model(system)
     size = comb(model.ambient_dim + args.degree - 1, args.degree)
     if size > MAX_AMBIENT:
-        print(f"error: --degree {args.degree}: {size} monomials of degree {args.degree} "
-              f"in {model.ambient_dim} coordinates exceed the cap {MAX_AMBIENT}",
-              file=sys.stderr)
-        return 2
+        raise Unusable(f"--degree {args.degree}: {size} monomials of degree {args.degree} "
+                       f"in {model.ambient_dim} coordinates exceed the cap {MAX_AMBIENT}")
     space = implicitize(model, args.degree)
     report.add("info", "relations",
                f"forms of degree {args.degree} vanishing on the model: dim {space.dim}")
@@ -392,57 +368,26 @@ def cmd_implicitize(args) -> int:
                "not zero on the chart: " + ", ".join(f"generator-{i}" for i in bad)
                if bad else
                "every generator pulls back through the chart to the zero polynomial")
-    return report.emit(args.json)
 
 
-def _load_parametrization(args, report: Report) -> Parametrization | None:
-    """Parse a parametrization (or a system's chart); on failure fill the
-    report and return None."""
-    name, text, digest = _read_source(args.file)
-    report.input_name = name
-    report.digest = digest
-    if args.chart:
-        try:
-            system = system_from_file(text)
-        except InvalidSymbolSystem as exc:
-            for d in exc.diagnostics:
-                report.add("fail", "structure", d)
-            return None
-        model = build_model(system)
-        param = Parametrization(system.context, tuple(model.chart_functions()))
-    else:
-        pf = parse_param_file(text)
-        param = Parametrization(pf.context, pf.coords, base_point=pf.base_point)
-    if getattr(args, "degree", None) is not None:
+def cmd_ff(args, report: Report, param: Parametrization):
+    if args.degree is not None:
         param = dataclasses.replace(param, truncation_degree=args.degree)
-    return param
-
-
-def _parse_at(text: str, n: int) -> tuple[Fraction, ...]:
-    parts = [chunk.strip() for chunk in text.split(",")]
-    if len(parts) != n:
-        raise ParseError(f"--at needs {n} coordinates, got {len(parts)}", 1, 1)
+    base = None
+    if args.at:
+        n, given = param.context.n, len(args.at.split(","))
+        if given != n:
+            raise ParseError(f"--at needs {n} coordinates, got {given}", 1, 1)
+        # the grammar of a .par `at:` line, with its caps
+        base = _parse_rational_list(args.at, 1, 1)
     try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"--at: bad rational in {text!r}", 1, 1) from None
-
-
-def cmd_ff(args) -> int:
-    report = Report("ff")
-    param = _load_parametrization(args, report)
-    if param is None:
-        return report.emit(args.json)
-    base = _parse_at(args.at, param.context.n) if args.at else None
-    try:
-        filt = jet_filtration(param, base)
         ffs = extract_fundamental_forms(param, base)
     except (ImmersionError, TruncationError) as exc:
         report.add("fail", "extraction", str(exc))
-        return report.emit(args.json)
+        return
     report.add("info", "base-point", _vec(ffs.base_point))
     report.add("info", "filtration",
-               f"dims by vanishing order {_dims(filt.dims)}")
+               f"dims by vanishing order {_dims(ffs.filtration_dims)}")
     for d in range(ffs.rank + 1):
         comp = ffs.component(d)
         report.add("info", f"G{d}", f"dim {comp.dim} = {_span(comp)}")
@@ -452,14 +397,9 @@ def cmd_ff(args) -> int:
     else:
         for d in ffs.closure_diagnostics:
             report.add("fail", "closure", d)
-    return report.emit(args.json)
 
 
-def cmd_cartan(args) -> int:
-    report = Report("cartan", seed=args.seed)
-    param = _load_parametrization(args, report)
-    if param is None:
-        return report.emit(args.json)
+def cmd_cartan(args, report: Report, param: Parametrization):
     cr = cartan_check(param, trials=args.trials, seed=args.seed)
     for i, entry in enumerate(cr.entries, start=1):
         detail = f"base {_vec(entry.base_point)}: dims {_dims(entry.dims)}"
@@ -469,29 +409,9 @@ def cmd_cartan(args) -> int:
     if cr.skipped:
         report.add("info", "skipped",
                    f"{cr.skipped} degenerate base points were skipped")
-    return report.emit(args.json)
 
 
-def _chart_extraction_matches(system: SymbolSystem, report: Report):
-    model = build_model(system)
-    param = Parametrization(system.context, tuple(model.chart_functions()))
-    ffs = extract_fundamental_forms(param)
-    same = (ffs.dims == system.dims and
-            all(ffs.component(k) == system.component(k)
-                for k in range(system.rank + 1)))
-    report.add("pass" if same else "fail", "chart-extraction",
-               "graded pieces at the origin of the model chart reproduce the "
-               "input system" if same else
-               f"graded pieces at the origin have dims {_dims(ffs.dims)}, "
-               f"input has {_dims(system.dims)}")
-    return param
-
-
-def cmd_report(args) -> int:
-    report = Report("report", seed=args.seed)
-    system = _load_system(args.file, report)
-    if system is None:
-        return report.emit(args.json)
+def cmd_report(args, report: Report, system: SymbolSystem):
     m = order(system)
     report.add("info", "order", str(m))
     if m == 1:
@@ -515,12 +435,20 @@ def cmd_report(args) -> int:
     space = implicitize(model, 2)
     report.add("info", "relations",
                f"degree-2 forms vanishing on the model: dim {space.dim}")
-    param = _chart_extraction_matches(system, report)
+    param = _chart(model)
+    ffs = extract_fundamental_forms(param)
+    same = (ffs.dims == system.dims and
+            all(ffs.component(k) == system.component(k)
+                for k in range(system.rank + 1)))
+    report.add("pass" if same else "fail", "chart-extraction",
+               "graded pieces at the origin of the model chart reproduce the "
+               "input system" if same else
+               f"graded pieces at the origin have dims {_dims(ffs.dims)}, "
+               f"input has {_dims(system.dims)}")
     cr = cartan_check(param, trials=3, seed=args.seed)
     report.add("pass" if cr.passed else "fail", "cartan",
                f"{sum(e.passed for e in cr.entries)}/{len(cr.entries)} random "
                f"base points give valid symbol systems")
-    return report.emit(args.json)
 
 
 def cmd_examples(args) -> int:
@@ -539,8 +467,8 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _count(least: int):
-    """argparse type: an integer no smaller than `least`."""
+def _count(least: int, most: int | None = None):
+    """argparse type: an integer no smaller than `least` (nor larger than `most`)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -548,6 +476,8 @@ def _count(least: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return parse
 
@@ -562,78 +492,63 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
 
-    def add(name, handler, help_text, parents=(common,)):
-        p = sub.add_parser(name, help=help_text, parents=list(parents))
-        p.set_defaults(handler=handler)
+    def add(name, handler, help_text, chart=False, trials=None, seed=False):
+        """A subcommand that loads one input file, `main` runs `handler` on."""
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler,
+                       load=_load_parametrization if chart else _load_system)
+        if chart:
+            p.add_argument("file", help="a parametrization file, or a system file "
+                                        "with --chart")
+            p.add_argument("--chart", action="store_true",
+                           help="treat the input as a system file and use the "
+                                "graph chart of its model")
+        else:
+            p.add_argument("file")
+        if trials is not None:
+            p.add_argument("--trials", type=_count(1, MAX_TRIALS), default=trials)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         return p
 
-    p = add("validate", cmd_validate, "check the axioms on a system file")
-    p.add_argument("file")
+    add("validate", cmd_validate, "check the axioms on a system file")
 
     p = add("prolong", cmd_prolong, "prolongation spaces of the components")
-    p.add_argument("file")
     p.add_argument("--degree", type=_count(1), default=None,
                    help="single degree instead of the full range")
 
-    p = add("order", cmd_order, "largest degree whose base locus is empty")
-    p.add_argument("file")
-
-    p = add("baselocus", cmd_baselocus,
-            "saturated ideal of the first nonempty base locus")
-    p.add_argument("file")
+    add("order", cmd_order, "largest degree whose base locus is empty")
+    add("baselocus", cmd_baselocus, "saturated ideal of the first nonempty base locus")
 
     p = add("saturated", cmd_saturated,
             "saturation predicate for order-1 systems (FALSE exits 1)")
-    p.add_argument("file")
     p.add_argument("--points", default=None,
                    help="file of rational points for an independent "
                         "cross-check of the degree-2 slice")
 
-    p = add("model", cmd_model, "ambient coordinates and block layout")
-    p.add_argument("file")
-
-    p = add("act-check", cmd_act_check,
-            "verify the translation and torus actions on random input")
-    p.add_argument("file")
-    p.add_argument("--trials", type=_count(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("curve-degrees", cmd_curve_degrees,
-            "orbit-curve degrees along sampled directions")
-    p.add_argument("file")
-    p.add_argument("--trials", type=_count(1), default=40)
-    p.add_argument("--seed", type=int, default=0)
+    add("model", cmd_model, "ambient coordinates and block layout")
+    add("act-check", cmd_act_check,
+        "verify the translation and torus actions on random input", trials=20, seed=True)
+    add("curve-degrees", cmd_curve_degrees,
+        "orbit-curve degrees along sampled directions", trials=40, seed=True)
 
     p = add("implicitize", cmd_implicitize,
             "forms of a given degree vanishing on the model")
-    p.add_argument("file")
     p.add_argument("--degree", type=_count(0), required=True)
 
-    p = add("ff", cmd_ff, "jet filtration and fundamental forms at a point")
-    p.add_argument("file", help="a parametrization file, or a system file "
-                                "with --chart")
-    p.add_argument("--chart", action="store_true",
-                   help="treat the input as a system file and use the "
-                        "graph chart of its model")
+    p = add("ff", cmd_ff, "jet filtration and fundamental forms at a point", chart=True)
     p.add_argument("--at", default=None,
                    help="base point as comma-separated rationals")
     p.add_argument("--degree", type=_count(1), default=None,
                    help="truncation degree for the jet expansion")
 
-    p = add("cartan", cmd_cartan,
-            "test the closure axiom at random base points")
-    p.add_argument("file")
-    p.add_argument("--chart", action="store_true",
-                   help="treat the input as a system file and use the "
-                        "graph chart of its model")
-    p.add_argument("--trials", type=_count(1), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    add("cartan", cmd_cartan, "test the closure axiom at random base points",
+        chart=True, trials=5, seed=True)
+    add("report", cmd_report, "consolidated battery on a system file", seed=True)
 
-    p = add("report", cmd_report, "consolidated battery on a system file")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("examples", cmd_examples, "list or print the bundled inputs")
+    p = sub.add_parser("examples", help="list or print the bundled inputs",
+                       parents=[common])
+    p.set_defaults(handler=cmd_examples, load=None)
     p.add_argument("name", nargs="?", default=None)
 
     return parser
@@ -642,8 +557,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ParseError, OSError, DegreeCapExceeded, AlgebraError) as exc:
+        if args.load is None:
+            return args.handler(args)
+        report = Report(args.command, seed=getattr(args, "seed", None))
+        subject = args.load(args, report)
+        if subject is not None:
+            args.handler(args, report, subject)
+        print(report.render(args.json))
+        return 1 if report.failed else 0
+    except (ParseError, OSError, DegreeCapExceeded, AlgebraError, Unusable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

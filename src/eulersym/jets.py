@@ -137,6 +137,7 @@ class FFSystem:
     base_point: tuple[Fraction, ...]
     components: tuple[FormSpace, ...]
     closure_diagnostics: tuple[str, ...]
+    filtration_dims: tuple[int, ...]  # the jet filtration's dims by vanishing order
 
     @property
     def rank(self) -> int:
@@ -167,7 +168,8 @@ def extract_fundamental_forms(param: Parametrization,
         for d in range(r + 1)
     ]
     diagnostics = tuple(structural_diagnostics(filt.context, components))
-    return FFSystem(filt.context, filt.base_point, tuple(components), diagnostics)
+    return FFSystem(filt.context, filt.base_point, tuple(components), diagnostics,
+                    filt.dims)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ MAX_RANK = 32
 MAX_TERM_DEGREE = 64  # so also the largest exponent
 MAX_AMBIENT = 5000  # C(n + d, n): the forms of degree <= d in n variables
 MAX_DIGITS = 1000  # of one integer; Python's int() refuses strings past 4300
+MAX_TRIALS = 10_000  # random instances per command; each costs up to a few ms
 
 _TOKEN_RE = re.compile(r"(?P<ws>[ \t]+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^,])")

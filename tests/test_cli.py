@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
+import argparse
 import json
 import time
 
 import pytest
 
-from eulersym.cli import main
+import eulersym.cli
+from eulersym.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -130,6 +132,10 @@ def test_implicitize_verification_is_exact(capsys):
     ["prolong", "epr.sys", "--degree", "0"],
     ["ff", "cubiccurve.par", "--degree", "-1"],
     ["ff", "cubiccurve.par", "--degree", "0"],
+    ["act-check", "veronese.sys", "--trials", "1000000"],
+    ["curve-degrees", "epr.sys", "--trials", "10001"],
+    ["cartan", "quadric.par", "--trials", "10001"],
+    ["cartan", "quadric.par", "--trials", "9" * 5000],
 ])
 def test_bad_counts_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -144,6 +150,24 @@ def test_prolong_degree_above_rank_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "error: --degree 4 is out of range 1..3" in err
+
+
+@pytest.mark.parametrize("at,message", [
+    ("1e999999", "line 1, col 1: expected a rational number, found '1e999999'"),
+    ("1.5", "line 1, col 1: expected a rational number, found '1.5'"),
+    ("inf", "line 1, col 1: expected a rational number, found 'inf'"),
+    ("1/0", "line 1, col 3: zero denominator"),
+    ("-" + "3" * 5000, "line 1, col 1: digit count 5000 exceeds the cap 1000"),
+    ("1,2", "line 1, col 1: --at needs 1 coordinates, got 2"),
+])
+def test_bad_at_exits_2(capsys, at, message):
+    # --at follows the grammar of a .par `at:` line, caps included
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ff", "cubiccurve.par", "--at=" + at)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_implicitize_degree_cap_exits_2(capsys):
@@ -219,6 +243,9 @@ def test_ff_flex_demonstration(capsys):
     code, out, _ = run(capsys, "ff", "cubiccurve.par", "--at", "2")
     assert code == 0
     assert "[pass] closure" in out
+    code, out, _ = run(capsys, "ff", "cubiccurve.par", "--at=-3/7")
+    assert code == 0
+    assert "[info] base-point: (-3/7)" in out
 
 
 def test_ff_chart(capsys):
@@ -269,3 +296,68 @@ def test_reports_are_deterministic(capsys):
     third = run(capsys, "curve-degrees", "triple.sys", "--seed", "9")
     fourth = run(capsys, "curve-degrees", "triple.sys", "--seed", "9")
     assert third == fourth
+
+
+# The options of every subcommand, as the parser had them before the
+# per-command steps moved into `main`.
+OPTIONS = {
+    "validate": ["-h", "--help", "--json", "file"],
+    "prolong": ["-h", "--help", "--json", "file", "--degree"],
+    "order": ["-h", "--help", "--json", "file"],
+    "baselocus": ["-h", "--help", "--json", "file"],
+    "saturated": ["-h", "--help", "--json", "file", "--points"],
+    "model": ["-h", "--help", "--json", "file"],
+    "act-check": ["-h", "--help", "--json", "file", "--trials", "--seed"],
+    "curve-degrees": ["-h", "--help", "--json", "file", "--trials", "--seed"],
+    "implicitize": ["-h", "--help", "--json", "file", "--degree"],
+    "ff": ["-h", "--help", "--json", "file", "--chart", "--at", "--degree"],
+    "cartan": ["-h", "--help", "--json", "file", "--chart", "--trials", "--seed"],
+    "report": ["-h", "--help", "--json", "file", "--seed"],
+    "examples": ["-h", "--help", "--json", "name"],
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_subcommands_are_the_listed_ones():
+    assert sorted(_subparsers()) == sorted(OPTIONS)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_options_and_help(capsys, command):
+    sub = _subparsers()[command]
+    got = [s for a in sub._actions for s in (a.option_strings or [a.dest])]
+    assert got == OPTIONS[command]
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: eulersym {command}")
+    assert err == ""
+
+
+@pytest.mark.parametrize("command,trials", [
+    ("act-check", 20), ("curve-degrees", 40), ("cartan", 5),
+])
+def test_trials_defaults(command, trials):
+    assert build_parser().parse_args([command, "x"]).trials == trials
+
+
+def test_main_runs_the_handler_bound_in_the_module(monkeypatch, capsys):
+    # perfbench's tracer wraps cli.cmd_* in the module namespace; main must
+    # look each handler up there when it runs, not hold an earlier reference
+    seen = []
+
+    def fake(args, report, system):
+        seen.append(system.rank)
+        report.add("info", "patched", "yes")
+
+    monkeypatch.setattr(eulersym.cli, "cmd_order", fake)
+    code, out, _ = run(capsys, "order", "rnc.sys")
+    assert code == 0
+    assert seen == [3]
+    assert "[info] patched: yes" in out
+    assert "base-locus" not in out

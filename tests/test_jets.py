@@ -124,3 +124,17 @@ def test_cartan_check_is_deterministic():
     a = cartan_check(_param("quadric.par"), trials=3, seed=4)
     b = cartan_check(_param("quadric.par"), trials=3, seed=4)
     assert a == b
+
+
+@pytest.mark.parametrize("name,base", [
+    ("quadric.par", None), ("cubiccurve.par", None), ("cubiccurve.par", (2,)),
+    ("cubiccurve.par", (Fraction(-3, 7),)), ("epr.sys", None), ("epr.sys", (1, 2, 3)),
+])
+def test_fundamental_forms_carry_their_filtration_dims(name, base):
+    if name.endswith(".sys"):
+        s = _bundled(name)
+        param = Parametrization(s.context, tuple(build_model(s).chart_functions()))
+    else:
+        param = _param(name)
+    assert (extract_fundamental_forms(param, base).filtration_dims
+            == jet_filtration(param, base).dims)
