@@ -153,21 +153,9 @@ def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynom
                for j in range(len(basis))):
             continue
         keep.append(g)
-    # tail-reduce each against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            red = reduce_poly(keep[i], others, order)
-            if red.is_zero():
-                keep.pop(i)
-                changed = True
-                break
-            red = red * (1 / leading_coefficient(red, order))
-            if red != keep[i]:
-                keep[i] = red
-                changed = True
+    # tail-reduce each against the others: no leading monomial divides
+    # another, so every leading term (monic) survives and one pass suffices
+    keep = [reduce_poly(g, keep[:i] + keep[i + 1:], order) for i, g in enumerate(keep)]
     keep.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
     return keep
 

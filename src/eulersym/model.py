@@ -13,7 +13,7 @@ scaling; both are linear on the ambient coordinates.  The translation is
 
 for commuting nilpotent N_1..N_n, one per basis vector e_i.  N_i raises
 torus weight by one: it sends block k-1 to block k, and the row of the
-basis form b^k_j holds k times the echelon coordinates of iota_{e_i} b^k_j
+basis form b^k_j holds the echelon coordinates of the partial d_i b^k_j
 in F^(k-1).  Block 0 is F^0 = <1>, so the t and w blocks need no special
 case, and N_v^(r+1) = 0 makes the exponential a finite sum.
 
@@ -31,9 +31,9 @@ from functools import cached_property
 from typing import Sequence
 
 from . import sampling
-from .poly import Polynomial, VarContext, _as_scalar, contract, evaluate
+from .poly import Polynomial, VarContext, _as_scalar, evaluate
 from .spaces import FormSpace, kernel_of_map, monomials_of_degree
-from .systems import SymbolSystem, _basis_vector, assemble
+from .systems import SymbolSystem, assemble
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,18 @@ class EulerModel:
 
         Built on the first action, so models that never act pay nothing.
         """
-        n = self.system.context.n
         mats = []
-        for i in range(n):
+        for i in range(self.system.context.n):
             rows = [()]  # block 0 has weight 0: nothing maps into it
             for k in range(1, self.rank + 1):
                 lower = self.system.component(k - 1)
                 start = self.block_bounds[k - 1][0]
                 for b in self.system.component(k).basis:
-                    coords = lower.coordinates_of(contract(b, _basis_vector(n, i)))
+                    coords = lower.coordinates_of(b.derivative(i))
                     if coords is None:
                         raise AssertionError(
                             "closure violated: contraction left its component")
-                    rows.append(tuple((start + j, k * c) for j, c in enumerate(coords) if c))
+                    rows.append(tuple((start + j, c) for j, c in enumerate(coords) if c))
             mats.append(tuple(rows))
         return tuple(mats)
 

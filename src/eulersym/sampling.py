@@ -16,13 +16,13 @@ NUM_RANGE = (-20, 20)
 DEN_RANGE = (1, 10)
 
 
-def rational(rng: random.Random, num_range=NUM_RANGE, den_range=DEN_RANGE) -> Fraction:
-    return Fraction(rng.randint(*num_range), rng.randint(*den_range))
+def rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(*NUM_RANGE), rng.randint(*DEN_RANGE))
 
 
-def nonzero_rational(rng: random.Random, num_range=NUM_RANGE, den_range=DEN_RANGE) -> Fraction:
+def nonzero_rational(rng: random.Random) -> Fraction:
     while True:
-        q = rational(rng, num_range, den_range)
+        q = rational(rng)
         if q:
             return q
 

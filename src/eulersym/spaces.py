@@ -197,29 +197,28 @@ class FormSpace:
                 f"space holds degree-{self.degree} forms, got degree {p.homogeneous_degree()}")
 
     def reduce(self, p: Polynomial) -> Polynomial:
-        """Remainder of p after subtracting its echelon-basis projection."""
+        """p - sum_j p[pivot_j] b_j: each basis row is 1 at its pivot, 0 at the others."""
         self._accepts(p)
-        out = p
+        out = dict(p.terms)
         for pivot, row in zip(self._pivots, self.basis):
-            c = out.coefficient(pivot)
+            c = p.terms.get(pivot)
             if c:
-                out = out - row * c
-        return out
+                for m, v in row.terms.items():
+                    s = out.get(m, 0) - c * v
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return Polynomial._trusted(self.context, out)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
 
     def coordinates_of(self, p: Polynomial) -> list[Fraction] | None:
         """Coefficients of p against the echelon basis, or None if outside."""
-        self._accepts(p)
-        out = p
-        coords = []
-        for pivot, row in zip(self._pivots, self.basis):
-            c = out.coefficient(pivot)
-            coords.append(c)
-            if c:
-                out = out - row * c
-        return coords if out.is_zero() else None
+        if not self.contains(p):
+            return None
+        return [p.coefficient(pivot) for pivot in self._pivots]
 
     def __eq__(self, other):
         if not isinstance(other, FormSpace):

@@ -4,6 +4,8 @@ A system F = (F^0, ..., F^r) fixes F^0 = constants and F^1 = all linear
 forms, requires F^r != 0, and demands that contracting any member of
 F^k by a basis vector lands in F^(k-1).  Closure is linear in the
 vector, so checking the basis vectors e_i settles it for all of W.
+On degree-k forms the contraction by e_i is the partial d_i scaled by
+1/k, and membership is scale-invariant, so closure is checked with d_i.
 
 Beyond validation this module computes the prolongation of a component,
 systems generated by a single form, the order (how far the base loci
@@ -14,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InvalidSymbolSystem, SaturationPreconditionError
 from .groebner import (GroebnerBasis, graded_component, is_zero_dimensional,
                        saturate_ideal)
-from .poly import Polynomial, VarContext, contract, default_context
+from .poly import Polynomial, VarContext, default_context
 from .spaces import FormSpace, kernel_of_map, monomials_of_degree
 
 
@@ -36,6 +39,14 @@ class SymbolSystem:
     def dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
 
+    @cached_property
+    def order(self) -> int:
+        """Largest m with empty Bs(F^m); F^1 = W* has none, so 1 <= m <= rank."""
+        for k in range(2, self.rank + 1):
+            if not is_zero_dimensional(self.components[k]):
+                return k - 1
+        return self.rank
+
     def component(self, k: int) -> FormSpace:
         """F^k; zero space for k beyond the rank."""
         if k < 0:
@@ -46,10 +57,6 @@ class SymbolSystem:
 
     def __repr__(self):
         return f"SymbolSystem(rank {self.rank}, dims {self.dims})"
-
-
-def _basis_vector(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def structural_diagnostics(ctx: VarContext, components: Sequence[FormSpace]) -> list[str]:
@@ -76,11 +83,11 @@ def structural_diagnostics(ctx: VarContext, components: Sequence[FormSpace]) -> 
         lower = components[k - 1]
         for phi in components[k].basis:
             for i in range(ctx.n):
-                img = contract(phi, _basis_vector(ctx.n, i))
-                if not lower.contains(img):
+                if not lower.contains(phi.derivative(i)):
                     out.append(
                         f"F^{k} is not closed under contraction: "
-                        f"contracting {phi} by e{i + 1} gives {img}, outside F^{k - 1}")
+                        f"contracting {phi} by e{i + 1} gives "
+                        f"{phi.derivative(i) * Fraction(1, k)}, outside F^{k - 1}")
     return out
 
 
@@ -138,22 +145,19 @@ def prolong(space: FormSpace) -> FormSpace:
 
 
 def from_polynomial(p: Polynomial) -> SymbolSystem:
-    """The system generated by one form: top component <P>, lower ones
-    spanned by iterated basis-vector contractions, F^1 forced to W*."""
+    """The system generated by one form: top component <P>, each lower one
+    spanned by the partials of the one above, F^1 forced to W*."""
     if p.is_zero():
         raise ValueError("cannot generate a system from the zero form")
     r = p.homogeneous_degree()
     if r < 2:
         raise ValueError(f"generating form must have degree >= 2, got {r}")
     ctx = p.context
-    levels: dict[int, list[Polynomial]] = {r: [p]}
+    components = [FormSpace.span([p], ctx, r)]
     for k in range(r - 1, 1, -1):
-        levels[k] = [
-            contract(b, _basis_vector(ctx.n, i))
-            for b in levels[k + 1]
-            for i in range(ctx.n)
-        ]
-    return assemble(ctx, r, levels)
+        components.append(FormSpace.span(
+            [b.derivative(i) for b in components[-1].basis for i in range(ctx.n)], ctx, k))
+    return validate(ctx, [FormSpace.full(ctx, 0), FormSpace.full(ctx, 1)] + components[::-1])
 
 
 def full_system(n: int, rank: int, ctx: VarContext | None = None) -> SymbolSystem:
@@ -167,11 +171,8 @@ def full_system(n: int, rank: int, ctx: VarContext | None = None) -> SymbolSyste
 
 
 def order(system: SymbolSystem) -> int:
-    """Largest m with empty base locus Bs(F^m); between 1 and the rank."""
-    for k in range(1, system.rank + 1):
-        if not is_zero_dimensional(system.component(k)):
-            return k - 1
-    return system.rank
+    """Largest m with empty base locus Bs(F^m); computed once per system."""
+    return system.order
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def is_saturated(system: SymbolSystem) -> SaturationResult:
     locus must equal F^2, and the tower must be prolongation-exact
     (F^(k+1) = prolong(F^k) for 2 <= k < r, with prolong(F^r) = 0).
     """
-    m = order(system)
+    m = system.order
     if m != 1:
         raise SaturationPreconditionError(
             f"saturation predicate applies to systems of order 1, got order {m}")

@@ -6,8 +6,8 @@ from math import comb
 from typing import Mapping, Sequence
 
 from eulersym import (GREVLEX, DegreeCapExceeded, FormSpace, GroebnerBasis,
-                      MonomialOrder, Polynomial, ProjectivePoint, VarContext, buchberger,
-                      contract, evaluate, monomials_of_degree, phi_eval)
+                      MonomialOrder, Polynomial, ProjectivePoint, SymbolSystem, VarContext,
+                      assemble, buchberger, contract, evaluate, monomials_of_degree, phi_eval)
 from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
                                _monomial_quot)
 from eulersym.model import EulerModel
@@ -182,6 +182,107 @@ def contraction_prolong(space: FormSpace) -> FormSpace:
             blocks.append(row)
         images[m] = blocks
     return dense_kernel_of_map(ctx, k + 1, images)
+
+
+# ---------------------------------------------------------------------------
+# the library's former contraction rule: `contract` by a basis vector, then a
+# reduction that builds a new polynomial per pivot; kept as independent
+# oracles for the d_i-and-pivots rule of `FormSpace.reduce`,
+# `coordinates_of`, `structural_diagnostics`, `from_polynomial` and
+# `EulerModel.nilpotents`
+
+def loop_reduce(space: FormSpace, p: Polynomial) -> Polynomial:
+    """Remainder of p after subtracting its echelon-basis projection."""
+    space._accepts(p)
+    out = p
+    for pivot, row in zip(space.pivots, space.basis):
+        c = out.coefficient(pivot)
+        if c:
+            out = out - row * c
+    return out
+
+
+def loop_coordinates_of(space: FormSpace, p: Polynomial) -> list[Fraction] | None:
+    """Coefficients of p against the echelon basis, or None if outside."""
+    space._accepts(p)
+    out = p
+    coords = []
+    for pivot, row in zip(space.pivots, space.basis):
+        c = out.coefficient(pivot)
+        coords.append(c)
+        if c:
+            out = out - row * c
+    return coords if out.is_zero() else None
+
+
+def contraction_diagnostics(ctx: VarContext, components: Sequence[FormSpace]) -> list[str]:
+    """All axiom violations of a candidate component list, as messages."""
+    out = []
+    if len(components) < 2:
+        out.append(f"need components for degrees 0..r with r >= 1, got {len(components)}")
+        return out
+    r = len(components) - 1
+    for k, comp in enumerate(components):
+        if comp.context != ctx:
+            out.append(f"component {k} lives over variables ({comp.context}), expected ({ctx})")
+            return out
+        if comp.degree != k:
+            out.append(f"component {k} holds degree-{comp.degree} forms")
+            return out
+    if components[0] != FormSpace.full(ctx, 0):
+        out.append("F^0 must be exactly the constants")
+    if not components[1].is_full():
+        out.append(f"F^1 must be all linear forms (dim {ctx.n}), got dim {components[1].dim}")
+    if components[r].is_zero():
+        out.append(f"top component F^{r} is zero; the rank is overstated")
+    for k in range(1, r + 1):
+        lower = components[k - 1]
+        for phi in components[k].basis:
+            for i in range(ctx.n):
+                img = contract(phi, _basis_vector(ctx.n, i))
+                if not loop_reduce(lower, img).is_zero():
+                    out.append(
+                        f"F^{k} is not closed under contraction: "
+                        f"contracting {phi} by e{i + 1} gives {img}, outside F^{k - 1}")
+    return out
+
+
+def contraction_from_polynomial(p: Polynomial) -> SymbolSystem:
+    """The system generated by one form: top component <P>, lower ones
+    spanned by iterated basis-vector contractions, F^1 forced to W*."""
+    if p.is_zero():
+        raise ValueError("cannot generate a system from the zero form")
+    r = p.homogeneous_degree()
+    if r < 2:
+        raise ValueError(f"generating form must have degree >= 2, got {r}")
+    ctx = p.context
+    levels: dict[int, list[Polynomial]] = {r: [p]}
+    for k in range(r - 1, 1, -1):
+        levels[k] = [
+            contract(b, _basis_vector(ctx.n, i))
+            for b in levels[k + 1]
+            for i in range(ctx.n)
+        ]
+    return assemble(ctx, r, levels)
+
+
+def contraction_nilpotents(model: EulerModel):
+    """N_1..N_n, each as one row of (column, entry) pairs per coordinate."""
+    n = model.system.context.n
+    mats = []
+    for i in range(n):
+        rows = [()]  # block 0 has weight 0: nothing maps into it
+        for k in range(1, model.rank + 1):
+            lower = model.system.component(k - 1)
+            start = model.block_bounds[k - 1][0]
+            for b in model.system.component(k).basis:
+                coords = loop_coordinates_of(lower, contract(b, _basis_vector(n, i)))
+                if coords is None:
+                    raise AssertionError(
+                        "closure violated: contraction left its component")
+                rows.append(tuple((start + j, k * c) for j, c in enumerate(coords) if c))
+        mats.append(tuple(rows))
+    return tuple(mats)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import eulersym.cli
+import eulersym.groebner
 from eulersym.cli import build_parser, main
 
 
@@ -266,6 +267,24 @@ def test_report_battery(capsys):
     assert "[pass] actions: 10/10 random instances of every action identity exact" in out
     assert "[pass] chart-extraction" in out
     assert "[pass] cartan" in out
+
+
+@pytest.mark.parametrize("command,runs", [
+    ("order", 3), ("saturated", 6), ("report", 6), ("baselocus", 6)])
+def test_order_is_computed_once_per_system(monkeypatch, capsys, command, runs):
+    # triple.sys has rank 3: `order` prints all three base loci; the other
+    # commands take the cached order (one run, on F^2) and then saturate
+    calls = []
+    buchberger = eulersym.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(eulersym.groebner, "buchberger", counting)
+    code, _, _ = run(capsys, command, "triple.sys")
+    assert code == 0
+    assert len(calls) == runs
 
 
 def test_examples_listing_and_printing(capsys):

@@ -27,7 +27,9 @@ from eulersym import sampling
 from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point
 
-from helpers import chain_group_act, random_image_point, sampled_implicitize
+from eulersym.spaces import rref
+from helpers import (chain_group_act, contraction_nilpotents, random_image_point,
+                     sampled_implicitize)
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -101,7 +103,9 @@ def _system(name, frame="shipped"):
         system = full_system(*map(int, name.split("_")[1:]))
     else:
         system = _bundled(name)
-    return _monomial_frame(system, name) if frame == "monomial" else system
+    if frame == "monomial":
+        return _monomial_frame(system, name)
+    return _dense_frame(system, name) if frame == "dense" else system
 
 
 ACTION_CASES = ([(name, frame) for name in BUNDLED for frame in ("shipped", "monomial")]
@@ -117,6 +121,18 @@ def test_group_act_matches_the_chain_oracle(name, frame):
         v = sampling.vector(rng, model.system.context.n)
         z = random_ambient_point(model, rng)
         assert group_act(model, v, z) == chain_group_act(model, v, z)
+
+
+NILPOTENT_CASES = ([(name, frame) for name in BUNDLED
+                    for frame in ("shipped", "monomial", "dense")]
+                   + [("full_2_3", "shipped"), ("full_3_3", "shipped")])
+
+
+@pytest.mark.parametrize("name,frame", NILPOTENT_CASES)
+def test_nilpotents_match_the_contraction_oracle(name, frame):
+    # the row of b^k_j: coordinates of d_i b^k_j against those of k * iota_{e_i} b^k_j
+    model = build_model(_system(name, frame))
+    assert model.nilpotents == contraction_nilpotents(model)
 
 
 def _dense(model, mat):
@@ -250,6 +266,20 @@ def _monomial_frame(system, seed):
     rng.shuffle(perm)
     matrix = [[rng.choice([-3, -2, -1, 2, 3]) if j == perm[i] else 0
                for j in range(n)] for i in range(n)]
+    return _substitute(system, matrix)
+
+
+def _dense_frame(system, seed):
+    """The system after a seeded invertible substitution with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    n = system.context.n
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if len(rref([[Fraction(c) for c in row] for row in matrix])[1]) == n:
+            return _substitute(system, matrix)
+
+
+def _substitute(system, matrix):
     graded = {k: [compose_linear(b, matrix) for b in system.component(k).basis]
               for k in range(2, system.rank + 1)}
     return assemble(system.context, system.rank, graded)

@@ -18,7 +18,8 @@ from eulersym import (
 )
 from eulersym.poly import default_context
 from eulersym.spaces import rref
-from helpers import dense_kernel_of_map, dense_rref, dense_vanishing_space
+from helpers import (dense_kernel_of_map, dense_rref, dense_vanishing_space, loop_coordinates_of,
+                     loop_reduce)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -69,6 +70,36 @@ def test_reduce_kills_exactly_the_span():
     s = FormSpace.span([X1**2, X1 * X2])
     assert s.reduce(X1**2 + X2**2) == X2**2
     assert s.reduce(5 * X1 * X2).is_zero()
+
+
+@st.composite
+def spaces_and_forms(draw):
+    """A spanned space and a form of its degree: a combination of the
+    spanning forms (a member), plus a random form half of the time."""
+    ctx = default_context(draw(st.integers(1, 3)))
+    degree = draw(st.integers(0, 3))
+    monos = monomials_of_degree(ctx, degree)
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def form():
+        return Polynomial(ctx, {m: draw(entry)
+                                for m in draw(st.lists(st.sampled_from(monos), max_size=4))})
+
+    gens = [form() for _ in range(draw(st.integers(0, 4)))]
+    p = sum((draw(entry) * g for g in gens), Polynomial.zero(ctx))
+    if draw(st.booleans()):
+        p = p + form()
+    return FormSpace.span(gens, ctx, degree), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_and_forms())
+def test_reduce_and_coordinates_match_the_loop_oracle(case):
+    space, p = case
+    residue = space.reduce(p)
+    assert residue == loop_reduce(space, p)
+    assert space.contains(p) == residue.is_zero()
+    assert space.coordinates_of(p) == loop_coordinates_of(space, p)
 
 
 def test_vanishing_space():

@@ -22,7 +22,9 @@ from eulersym import (
     system_from_file,
 )
 from eulersym.cli import bundled_text
-from helpers import contraction_prolong, random_poly
+from eulersym.systems import structural_diagnostics
+from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
+                     random_poly)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -151,6 +153,33 @@ def test_from_polynomial_builds_the_contraction_levels():
     assert s.dims == (1, 3, 3, 1)
     assert s.component(2) == FormSpace.span([X1 * X2, X1 * X3, X2 * X3])
     assert s == _bundled("triple.sys")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_from_polynomial_matches_the_contraction_oracle(seed):
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(rng.randint(1, 4))))
+    p = random_poly(rng, ctx, rng.randint(2, 4))
+    assert from_polynomial(p) == contraction_from_polynomial(p)
+
+
+DIAGNOSTIC_CASES = {**PROLONG_CASES, "full(3,3)": lambda: full_system(3, 3)}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTIC_CASES))
+def test_diagnostics_match_the_contraction_oracle(case):
+    s = DIAGNOSTIC_CASES[case]()
+    comps = list(s.components)
+    assert structural_diagnostics(s.context, comps) == \
+        contraction_diagnostics(s.context, comps) == []
+    # drop each generator of F^(k-1) in turn: F^k may no longer contract into it
+    for k in range(2, s.rank + 1):
+        basis = s.component(k - 1).basis
+        for j in range(len(basis)):
+            cut = comps[:k - 1] + [FormSpace.span(basis[:j] + basis[j + 1:], s.context,
+                                                  k - 1)] + comps[k:]
+            assert structural_diagnostics(s.context, cut) == \
+                contraction_diagnostics(s.context, cut)
 
 
 @settings(max_examples=20, deadline=None)
