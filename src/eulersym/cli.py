@@ -36,9 +36,10 @@ from .errors import (
     ImmersionError,
     InvalidSymbolSystem,
     ParseError,
+    SaturationPreconditionError,
     TruncationError,
 )
-from .groebner import graded_component, is_zero_dimensional, saturate_ideal
+from .groebner import graded_component, saturate_ideal
 from .jets import Parametrization, cartan_check, extract_fundamental_forms
 from .model import (
     EulerModel,
@@ -206,11 +207,10 @@ def cmd_prolong(args, report: Report, system: SymbolSystem):
 
 
 def cmd_order(args, report: Report, system: SymbolSystem):
-    empty = [is_zero_dimensional(system.component(k)) for k in range(1, system.rank + 1)]
-    for k, flag in enumerate(empty, start=1):
-        report.add("info", f"base-locus-F{k}", "empty" if flag else "nonempty")
-    # the order is the degree just below the first nonempty base locus
-    report.add("info", "order", str(empty.index(False) if False in empty else system.rank))
+    for k in range(1, system.rank + 1):
+        report.add("info", f"base-locus-F{k}",
+                   "empty" if system.base_locus_empty(k) else "nonempty")
+    report.add("info", "order", str(order(system)))
 
 
 def cmd_baselocus(args, report: Report, system: SymbolSystem):
@@ -234,7 +234,12 @@ def cmd_saturated(args, report: Report, system: SymbolSystem):
                    f"this system has order {m}")
         return
     report.add("info", "order", "1")
-    res = is_saturated(system)
+    try:
+        res = is_saturated(system)
+    except SaturationPreconditionError:
+        report.add("fail", "F2", "the saturation predicate needs a nonzero F2, "
+                                 "this system has F2 = 0")
+        return
     report.add("info", "base-ideal",
                "(" + ", ".join(format_polynomial(g) for g in res.base_ideal.polys) + ")")
     report.add("pass" if res.degree2_matches else "fail", "degree-2-slice",
@@ -414,14 +419,15 @@ def cmd_cartan(args, report: Report, param: Parametrization):
 def cmd_report(args, report: Report, system: SymbolSystem):
     m = order(system)
     report.add("info", "order", str(m))
-    if m == 1:
+    try:
         res = is_saturated(system)
+    except SaturationPreconditionError:
+        why = f"at order {m}" if m != 1 else "for F2 = 0"
+        report.add("info", "saturated", f"predicate not defined {why}, skipped")
+    else:
         report.add("info", "saturated", "TRUE" if res.saturated else "FALSE")
         for d in res.diagnostics:
             report.add("info", "saturation-detail", d)
-    else:
-        report.add("info", "saturated",
-                   f"predicate not defined at order {m}, skipped")
     model = build_model(system)
     report.add("info", "ambient",
                f"projective space of dimension {model.ambient_dim - 1}")

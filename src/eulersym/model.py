@@ -17,6 +17,17 @@ basis form b^k_j holds the echelon coordinates of the partial d_i b^k_j
 in F^(k-1).  Block 0 is F^0 = <1>, so the t and w blocks need no special
 case, and N_v^(r+1) = 0 makes the exponential a finite sum.
 
+`group_act` evaluates that sum in integers.  Write N_i = M_i / q with q
+the common denominator of all nilpotent entries, v = u / d and z = y / e
+with u, y integral, and M_u = sum_i u_i M_i.  Then
+
+    (dq)^r * r! * e * exp(N_v) z = sum_j c_j M_u^j y,  c_j = (dq)^(r-j) r!/j!,
+
+an integer vector that Horner's rule builds with one cumulative
+coefficient.  The left side is a nonzero multiple of exp(N_v) z, and a
+ProjectivePoint is scaled so its first nonzero coordinate is 1, so the
+integer vector is the same projective point, exactly.
+
 The torus acts with weight k on block k, so the ideal of the model is
 graded by torus weight: `implicitize` finds its degree-d piece as one
 exact sparse kernel, which splits by weight on its own, with no sampling.
@@ -28,6 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import sampling
@@ -107,6 +119,17 @@ class EulerModel:
             mats.append(tuple(rows))
         return tuple(mats)
 
+    @cached_property
+    def integer_nilpotents(self) -> tuple[int, tuple]:
+        """(q, M_1..M_n) with N_i = M_i / q and q the common denominator of all entries.
+
+        Each M_i has the row layout of `nilpotents`, with integer entries.
+        """
+        q = lcm(*(e.denominator for mat in self.nilpotents for row in mat for _, e in row))
+        return q, tuple(
+            tuple(tuple((c, e.numerator * (q // e.denominator)) for c, e in row) for row in mat)
+            for mat in self.nilpotents)
+
 
 def build_model(system: SymbolSystem) -> EulerModel:
     n = system.context.n
@@ -154,18 +177,34 @@ def euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
 
 
 def group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectivePoint:
-    """Translation action of v in W on an arbitrary ambient point: exp(N_v) z."""
+    """Translation action of v in W on an arbitrary ambient point: exp(N_v) z.
+
+    Computed in integers by Horner's rule over one common denominator; see
+    the module docstring for why the result is the exact point.
+    """
     v = tuple(_as_scalar(c) for c in v)
     if len(v) != model.system.context.n:
         raise ValueError(f"translation vector needs {model.system.context.n} coordinates")
-    out = term = [_as_scalar(c) for c in z]
-    if len(out) != model.ambient_dim:
+    z = [_as_scalar(c) for c in z]
+    if len(z) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
-    nv = [[(c, vi * e) for vi, mat in zip(v, model.nilpotents) if vi for c, e in mat[row]]
-          for row in range(model.ambient_dim)]
-    for j in range(1, model.rank + 1):
-        term = [sum((e * term[c] for c, e in row), Fraction(0)) / j for row in nv]
-        out = [a + b for a, b in zip(out, term)]
+    d = lcm(*(c.denominator for c in v))
+    e = lcm(*(c.denominator for c in z))
+    u = [c.numerator * (d // c.denominator) for c in v]
+    y = [c.numerator * (e // c.denominator) for c in z]
+    q, mats = model.integer_nilpotents
+    mu = []  # M_u, one sparse row per coordinate with equal columns combined
+    for row in range(model.ambient_dim):
+        acc: dict[int, int] = {}
+        for ui, mat in zip(u, mats):
+            if ui:
+                for c, m in mat[row]:
+                    acc[c] = acc.get(c, 0) + ui * m
+        mu.append([(c, m) for c, m in acc.items() if m])
+    out, s = y, 1
+    for j in range(model.rank, 0, -1):
+        s *= d * q * j  # cumulative: s = (dq)^(r-j+1) r!/(j-1)!
+        out = [s * yi + sum(m * out[c] for c, m in row) for yi, row in zip(y, mu)]
     return ProjectivePoint(out)
 
 

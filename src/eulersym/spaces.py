@@ -169,8 +169,9 @@ class FormSpace:
 
     @classmethod
     def full(cls, ctx: VarContext, degree: int) -> "FormSpace":
-        polys = [Polynomial.from_monomial(ctx, m) for m in monomials_of_degree(ctx, degree)]
-        return cls.span(polys, ctx, degree)
+        """All degree-k forms: the monic monomials are already a reduced echelon basis."""
+        monos = monomials_of_degree(ctx, degree)
+        return cls(ctx, degree, [Polynomial.from_monomial(ctx, m) for m in monos], monos)
 
     # -- structure
 

@@ -40,10 +40,23 @@ class SymbolSystem:
         return tuple(c.dim for c in self.components)
 
     @cached_property
+    def _base_locus_empty(self) -> dict[int, bool]:
+        return {1: True}  # F^1 = W* has no common zero in projective space
+
+    def base_locus_empty(self, k: int) -> bool:
+        """Whether Bs(F^k) is empty, 1 <= k <= rank; computed once per k."""
+        if not 1 <= k <= self.rank:
+            raise ValueError(f"base locus of F^{k} is asked outside 1..{self.rank}")
+        flags = self._base_locus_empty
+        if k not in flags:
+            flags[k] = is_zero_dimensional(self.components[k])
+        return flags[k]
+
+    @cached_property
     def order(self) -> int:
         """Largest m with empty Bs(F^m); F^1 = W* has none, so 1 <= m <= rank."""
         for k in range(2, self.rank + 1):
-            if not is_zero_dimensional(self.components[k]):
+            if not self.base_locus_empty(k):
                 return k - 1
         return self.rank
 
@@ -188,7 +201,7 @@ class SaturationResult:
 
 
 def is_saturated(system: SymbolSystem) -> SaturationResult:
-    """Saturation predicate for systems of order 1 (order != 1 is an error).
+    """Saturation predicate for systems of order 1 with F^2 != 0 (else an error).
 
     Two clauses: the degree-2 slice of the saturated ideal of the base
     locus must equal F^2, and the tower must be prolongation-exact
@@ -198,6 +211,9 @@ def is_saturated(system: SymbolSystem) -> SaturationResult:
     if m != 1:
         raise SaturationPreconditionError(
             f"saturation predicate applies to systems of order 1, got order {m}")
+    if system.component(2).is_zero():  # rank 1: the base ideal would be the zero ideal
+        raise SaturationPreconditionError(
+            "saturation predicate needs a nonzero F^2, and F^2 is zero")
     diagnostics = []
     sat = saturate_ideal(list(system.component(2).basis))
     slice2 = graded_component(sat, 2)

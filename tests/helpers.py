@@ -11,7 +11,7 @@ from eulersym import (GREVLEX, DegreeCapExceeded, FormSpace, GroebnerBasis,
 from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
                                _monomial_quot)
 from eulersym.model import EulerModel
-from eulersym.poly import Monomial, grevlex_key
+from eulersym.poly import Monomial, _as_scalar, grevlex_key
 from eulersym.spaces import nullspace
 from eulersym import sampling
 
@@ -81,6 +81,26 @@ def sampled_implicitize(model, degree: int, samples: int | None = None,
                     f"degree-{degree} interpolation failed verification; "
                     "rerun with more samples")
     return space
+
+
+def fraction_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectivePoint:
+    """Translation action of v in W on an arbitrary ambient point: exp(N_v) z.
+
+    The library's former power series in Fractions, kept as an oracle for
+    the integer Horner form of `group_act`.
+    """
+    v = tuple(_as_scalar(c) for c in v)
+    if len(v) != model.system.context.n:
+        raise ValueError(f"translation vector needs {model.system.context.n} coordinates")
+    out = term = [_as_scalar(c) for c in z]
+    if len(out) != model.ambient_dim:
+        raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
+    nv = [[(c, vi * e) for vi, mat in zip(v, model.nilpotents) if vi for c, e in mat[row]]
+          for row in range(model.ambient_dim)]
+    for j in range(1, model.rank + 1):
+        term = [sum((e * term[c] for c, e in row), Fraction(0)) / j for row in nv]
+        out = [a + b for a, b in zip(out, term)]
+    return ProjectivePoint(out)
 
 
 def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectivePoint:

@@ -73,6 +73,24 @@ def test_saturated_exit_codes(capsys):
     assert "order 2" in out
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["validate"], 0), (["prolong"], 0), (["order"], 0), (["baselocus"], 0),
+    (["saturated"], 1), (["model"], 0), (["act-check"], 0), (["curve-degrees"], 0),
+    (["implicitize", "--degree", "2"], 0), (["report"], 0),
+    (["ff", "--chart"], 0), (["cartan", "--chart"], 0)])
+def test_rank_one_system(tmp_path, capsys, argv, expected):
+    # a valid system of order 1 whose F^2 is zero: saturation is undefined
+    path = tmp_path / "line.sys"
+    path.write_text("vars: x1\nrank: 1\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == expected
+    assert "Traceback" not in err
+    if argv[0] == "saturated":
+        assert "[fail] F2: the saturation predicate needs a nonzero F2" in out
+    if argv[0] == "report":
+        assert "[info] saturated: predicate not defined for F2 = 0, skipped" in out
+
+
 def test_saturated_point_cross_check(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("0,1,0\n0,0,1\n0,1,1\n0,1,-1\n0,1,2\n0,2,1\n")
@@ -270,10 +288,11 @@ def test_report_battery(capsys):
 
 
 @pytest.mark.parametrize("command,runs", [
-    ("order", 3), ("saturated", 6), ("report", 6), ("baselocus", 6)])
+    ("order", 2), ("saturated", 6), ("report", 6), ("baselocus", 6)])
 def test_order_is_computed_once_per_system(monkeypatch, capsys, command, runs):
-    # triple.sys has rank 3: `order` prints all three base loci; the other
-    # commands take the cached order (one run, on F^2) and then saturate
+    # triple.sys has rank 3: `order` prints all three base loci, and the
+    # axioms answer F^1 = W*, so it runs on F^2 and F^3; the other commands
+    # take the cached order (one run, on F^2) and then saturate
     calls = []
     buchberger = eulersym.groebner.buchberger
 

@@ -28,8 +28,8 @@ from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point
 
 from eulersym.spaces import rref
-from helpers import (chain_group_act, contraction_nilpotents, random_image_point,
-                     sampled_implicitize)
+from helpers import (chain_group_act, contraction_nilpotents, fraction_group_act,
+                     random_image_point, sampled_implicitize)
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -108,19 +108,54 @@ def _system(name, frame="shipped"):
     return _dense_frame(system, name) if frame == "dense" else system
 
 
-ACTION_CASES = ([(name, frame) for name in BUNDLED for frame in ("shipped", "monomial")]
+ACTION_CASES = ([(name, frame) for name in BUNDLED
+                 for frame in ("shipped", "monomial", "dense")]
                 + [(f"full_{n}_{r}", "shipped")
-                   for n, r in ((2, 3), (3, 3), (2, 5), (4, 2))])
+                   for n, r in ((1, 1), (2, 3), (3, 3), (2, 5), (4, 2))])
 
 
-@pytest.mark.parametrize("name,frame", ACTION_CASES)
-def test_group_act_matches_the_chain_oracle(name, frame):
+def _check_group_act(name, frame, oracle):
     model = build_model(_system(name, frame))
     rng = random.Random(name + frame)
     for _ in range(20):
         v = sampling.vector(rng, model.system.context.n)
         z = random_ambient_point(model, rng)
-        assert group_act(model, v, z) == chain_group_act(model, v, z)
+        assert group_act(model, v, z) == oracle(model, v, z)
+
+
+@pytest.mark.parametrize("name,frame", ACTION_CASES)
+def test_group_act_matches_the_chain_oracle(name, frame):
+    _check_group_act(name, frame, chain_group_act)
+
+
+@pytest.mark.parametrize("name,frame", ACTION_CASES)
+def test_group_act_matches_the_fraction_oracle(name, frame):
+    _check_group_act(name, frame, fraction_group_act)
+
+
+def test_some_action_case_has_a_fractional_nilpotent():
+    # the integer form must carry a common denominator q > 1 somewhere
+    denominators = {name + frame: build_model(_system(name, frame)).integer_nilpotents[0]
+                    for name, frame in ACTION_CASES}
+    assert denominators["epr.sysdense"] == denominators["triple.sysdense"] == 2
+    assert all(q == 1 for case, q in denominators.items() if not case.endswith("dense"))
+
+
+@pytest.mark.parametrize("name,frame", [("full_1_1", "shipped"), ("rnc.sys", "shipped"),
+                                        ("epr.sys", "dense"), ("triple.sys", "dense")])
+def test_group_act_edge_cases(name, frame):
+    model = build_model(_system(name, frame))
+    n = model.system.context.n
+    rng = random.Random(name)
+    z = random_ambient_point(model, rng)
+    assert group_act(model, (0,) * n, z) == z
+    huge = 10**29 + 7  # 30-digit numerators and denominators
+    v = [Fraction(rng.randint(-huge, huge), huge + i) for i in range(n)]
+    w = ProjectivePoint([Fraction(rng.randint(-huge, huge), huge - 3 * i)
+                         for i in range(model.ambient_dim)])
+    for vv, zz in ((v, z), (sampling.vector(rng, n), w), (v, w)):
+        got = group_act(model, vv, zz)
+        assert got == fraction_group_act(model, vv, zz) == chain_group_act(model, vv, zz)
 
 
 NILPOTENT_CASES = ([(name, frame) for name in BUNDLED

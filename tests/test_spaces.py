@@ -55,6 +55,18 @@ def test_zero_and_full():
     assert FormSpace.zero(CTX, 2) <= full
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_full_is_the_span_of_the_monomials(n, k):
+    ctx = default_context(n)
+    full = FormSpace.full(ctx, k)
+    spanned = FormSpace.span(
+        [Polynomial.from_monomial(ctx, m) for m in monomials_of_degree(ctx, k)], ctx, k)
+    assert full == spanned
+    assert full.basis == spanned.basis
+    assert full.pivots == spanned.pivots
+
+
 def test_contains_and_coordinates():
     s = FormSpace.span([X1**2, X1 * X2])
     assert s.contains(2 * X1**2 - X1 * X2)

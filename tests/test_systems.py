@@ -21,6 +21,7 @@ from eulersym import (
     prolong,
     system_from_file,
 )
+import eulersym.systems
 from eulersym.cli import bundled_text
 from eulersym.systems import structural_diagnostics
 from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
@@ -203,6 +204,29 @@ def test_order_values():
 def test_saturation_predicate_needs_order_one():
     with pytest.raises(SaturationPreconditionError):
         is_saturated(full_system(2, 2))
+
+
+def test_saturation_predicate_needs_a_nonzero_f2():
+    line = full_system(1, 1)  # order 1, F^2 = 0: the base ideal would be zero
+    assert order(line) == 1
+    with pytest.raises(SaturationPreconditionError, match="nonzero F"):
+        is_saturated(line)
+
+
+@pytest.mark.parametrize("name", ["epr.sys", "rnc.sys", "triple.sys", "veronese.sys"])
+def test_base_locus_flags_agree_with_the_order(monkeypatch, name):
+    calls = []
+    zero_dimensional = eulersym.systems.is_zero_dimensional
+    monkeypatch.setattr(eulersym.systems, "is_zero_dimensional",
+                        lambda space: calls.append(space.degree) or zero_dimensional(space))
+    system = _bundled(name)
+    m = order(system)
+    # F^1 comes from the axioms; the scan stops at the first nonempty locus
+    assert calls == list(range(2, min(m + 1, system.rank) + 1))
+    flags = [system.base_locus_empty(k) for k in range(1, system.rank + 1)]
+    assert flags[:m] == [True] * m
+    assert m == system.rank or not flags[m]
+    assert calls == list(range(2, system.rank + 1))  # each flag computed once
 
 
 def test_saturation_negative_case_with_diagnostics():
