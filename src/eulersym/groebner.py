@@ -182,12 +182,6 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 
-    def reduce(self, p: Polynomial) -> Polynomial:
-        return reduce_poly(p, self.polys, self.order)
-
-    def contains(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented

@@ -22,7 +22,7 @@ from typing import Sequence
 from . import sampling
 from .errors import AlgebraError, ContextMismatchError, ImmersionError, TruncationError
 from .poly import Polynomial, VarContext, compose_linear, translate
-from .spaces import FormSpace, monomials_of_degree, nullspace, rref
+from .spaces import FormSpace, echelon, monomials_of_degree, nullspace, reduced_row, rref
 from .systems import structural_diagnostics
 
 
@@ -96,7 +96,7 @@ def jet_filtration(param: Parametrization,
     inv = _invert([list(row) for row in lin])
     if inv is None:
         kernel = nullspace([list(row) for row in lin], n)
-        directions = "; ".join(str(tuple(v)) for v in kernel)
+        directions = "; ".join("(" + ", ".join(str(c) for c in v) + ")" for v in kernel)
         raise ImmersionError(
             "the first coordinate functions are degenerate at this base point; "
             f"flat directions: {directions}")
@@ -108,16 +108,10 @@ def jet_filtration(param: Parametrization,
     for d in range(max_deg + 1):
         columns.extend(monomials_of_degree(ctx, d))
     index = {m: j for j, m in enumerate(columns)}
-    matrix = []
-    for p in rows_polys:
-        row = [Fraction(0)] * len(columns)
-        for e, c in p.terms.items():
-            row[index[e]] = c
-        matrix.append(row)
-    reduced, pivots = rref(matrix)
+    basis = echelon({index[e]: c for e, c in p.terms.items()} for p in rows_polys)
     out = []
-    for row, pc in zip(reduced, pivots):
-        poly = Polynomial(ctx, {columns[j]: c for j, c in enumerate(row) if c})
+    for pc in sorted(basis):
+        poly = Polynomial._trusted(ctx, {columns[j]: c for j, c in reduced_row(basis[pc], pc)})
         out.append((sum(columns[pc]), poly))
     cap = param.truncation_degree
     if cap is not None:

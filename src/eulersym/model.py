@@ -55,11 +55,15 @@ class ProjectivePoint:
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence):
-        vals = tuple(_as_scalar(c) for c in coords)
+        vals = tuple(coords)
+        integral = all(type(c) is int for c in vals)  # as group_act's Horner output
+        if not integral:
+            vals = tuple(_as_scalar(c) for c in vals)
         lead = next((c for c in vals if c), None)
         if lead is None:
             raise ValueError("all coordinates are zero; not a projective point")
-        object.__setattr__(self, "coords", tuple(c / lead for c in vals))
+        object.__setattr__(self, "coords", tuple(
+            Fraction(c, lead) if integral else c / lead for c in vals))
 
     def __len__(self):
         return len(self.coords)

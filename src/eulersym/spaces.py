@@ -7,7 +7,11 @@ their bases coincide term by term.
 
 A space is given either by spanning forms (`FormSpace.span`) or by
 linear conditions (`kernel_of_map`, which `vanishing_space`, `prolong`
-and `implicitize` call); each takes one fraction-free `rref`.
+and `implicitize` call).  Both build sparse rows {column: value} straight
+from polynomial terms and take one fraction-free `echelon`, the only
+elimination loop; they read their answer off its primitive integer rows,
+dividing only at nonzero entries.  `rref` and `nullspace` are the dense
+wrappers over the same elimination and kernel read-off.
 """
 
 from __future__ import annotations
@@ -47,19 +51,18 @@ def full_dimension(ctx: VarContext, degree: int) -> int:
     return comb(ctx.n + degree - 1, degree)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact reduced row echelon form; returns (rows, pivot column indices).
+def echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, int]]:
+    """Fraction-free reduced echelon form of sparse rational rows.
 
-    Fraction-free: each row becomes a primitive integer row {column: int}
-    and is reduced against the pivot rows so far; a new pivot row
-    back-reduces the older ones, so they stay mutually reduced.  Rationals
-    appear once, when the result is read off.
+    Each row {column: value} becomes a primitive integer row and is
+    reduced against the pivot rows so far; a new pivot row back-reduces
+    the older ones, so they stay mutually reduced.  Returns {pivot column:
+    primitive integer row}, each row positive at its pivot (its smallest
+    column) and zero at every other pivot: the reduced row is row / row[pivot].
     """
-    if not rows:
-        return [], []
-    basis: dict[int, dict[int, int]] = {}  # pivot column -> primitive row
+    basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        nonzero = [(j, c) for j, c in row.items() if c]
         den = lcm(*(c.denominator for _, c in nonzero))
         r = _content_free({j: c.numerator * (den // c.denominator) for j, c in nonzero})
         for j in [j for j in r if j in basis]:  # pivot rows are 0 on other pivots
@@ -72,12 +75,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
                 if col in b:
                     basis[j] = _eliminate(b, r, col)
             basis[col] = r
-    pivots = sorted(basis)
-    out = [[Fraction(0)] * len(rows[0]) for _ in pivots]
-    for dense, p in zip(out, pivots):
-        for j, c in basis[p].items():
-            dense[j] = Fraction(c, basis[p][p])
-    return out, pivots
+    return basis
 
 
 def _content_free(row: dict[int, int]) -> dict[int, int]:
@@ -99,19 +97,50 @@ def _eliminate(r: dict[int, int], p: dict[int, int], j: int) -> dict[int, int]:
     return _content_free(out)
 
 
-def nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(width) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
+def reduced_row(row: dict[int, int], pivot: int) -> list[tuple[int, Fraction]]:
+    """The echelon row divided by its pivot entry, in ascending columns."""
+    lead = row[pivot]
+    return [(j, Fraction(c, lead)) for j, c in sorted(row.items())]
+
+
+def _kernel(basis: dict[int, dict[int, int]], width: int) -> list[dict[int, Fraction]]:
+    """Kernel basis of the echelon rows, one vector per free column f in
+    ascending order: 1 at f, -row_p[f] / row_p[p] at each pivot p < f,
+    with its columns ascending."""
+    vecs: dict[int, dict[int, Fraction]] = {f: {} for f in range(width) if f not in basis}
+    for p in sorted(basis):
+        row = basis[p]
+        for j, c in row.items():
+            if j != p:  # reduced rows are 0 on the other pivots: j is free
+                vecs[j][p] = Fraction(-c, row[p])
+    for f, vec in vecs.items():
         vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
+    return list(vecs.values())
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact reduced row echelon form of dense rows; returns (rows, pivot columns)."""
+    if not rows:
+        return [], []
+    basis = echelon(dict(enumerate(row)) for row in rows)
+    pivots = sorted(basis)
+    out = [[Fraction(0)] * len(rows[0]) for _ in pivots]
+    for dense, p in zip(out, pivots):
+        for j, c in reduced_row(basis[p], p):
+            dense[j] = c
+    return out, pivots
+
+
+def nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0} for the matrix with the given dense rows."""
+    basis = echelon(dict(enumerate(row)) for row in rows)
+    out = []
+    for vec in _kernel(basis, width):
+        dense = [Fraction(0)] * width
+        for j, c in vec.items():
+            dense[j] = c
+        out.append(dense)
+    return out
 
 
 class FormSpace:
@@ -150,18 +179,11 @@ class FormSpace:
                     f"expected a homogeneous form of degree {degree}, got {p}")
         monos = monomials_of_degree(ctx, degree)
         index = {m: j for j, m in enumerate(monos)}
-        rows = []
-        for p in polys:
-            row = [Fraction(0)] * len(monos)
-            for e, c in p.terms.items():
-                row[index[e]] = c
-            rows.append(row)
-        reduced, pivots = rref(rows)
-        basis = [
-            Polynomial(ctx, {monos[j]: c for j, c in enumerate(row) if c})
-            for row in reduced
-        ]
-        return cls(ctx, degree, basis, [monos[j] for j in pivots])
+        basis = echelon({index[e]: c for e, c in p.terms.items()} for p in polys)
+        pivots = sorted(basis)
+        return cls(ctx, degree, [
+            Polynomial._trusted(ctx, {monos[j]: c for j, c in reduced_row(basis[p], p)})
+            for p in pivots], [monos[p] for p in pivots])
 
     @classmethod
     def zero(cls, ctx: VarContext, degree: int) -> "FormSpace":
@@ -230,22 +252,9 @@ class FormSpace:
     def __hash__(self):
         return hash((self.context, self.degree, self.basis))
 
-    def __le__(self, other: "FormSpace") -> bool:
-        _check_compatible(self, other)
-        return all(other.contains(p) for p in self.basis)
-
     def __repr__(self):
         gens = ", ".join(str(p) for p in self.basis) or "0"
         return f"FormSpace(deg {self.degree}: {gens})"
-
-
-def _check_compatible(s: FormSpace, t: FormSpace):
-    if s.context != t.context:
-        raise ContextMismatchError(
-            f"incompatible variable lists: ({s.context}) vs ({t.context})")
-    if s.degree != t.degree:
-        raise ContextMismatchError(
-            f"cannot combine spaces of degrees {s.degree} and {t.degree}")
 
 
 def kernel_of_map(ctx: VarContext, degree: int,
@@ -257,22 +266,21 @@ def kernel_of_map(ctx: VarContext, degree: int,
     label is zero.  The condition matrix gets one row per label and its
     columns in ascending grevlex, so the kernel vector of a free column has
     that column as its largest monomial and is zero on every other free
-    column: `nullspace` already returns the canonical echelon basis, with
-    the largest pivot last, and no second elimination is needed.
+    column: the kernel read off `echelon` is already the canonical echelon
+    basis, with the largest pivot last, and no second elimination is needed.
     """
     monos = monomials_of_degree(ctx, degree)[::-1]
-    rows: dict[Hashable, list[Fraction]] = {}
+    rows: dict[Hashable, dict[int, Fraction]] = {}
     for j, m in enumerate(monos):
         for label, c in images[m].items():
             if c:
                 if label not in rows:
-                    rows[label] = [Fraction(0)] * len(monos)
+                    rows[label] = {}
                 rows[label][j] = c
     basis, pivots = [], []
-    for vec in reversed(nullspace(list(rows.values()), len(monos))):
-        terms = {m: c for m, c in zip(monos, vec) if c}
-        basis.append(Polynomial._trusted(ctx, terms))
-        pivots.append(next(reversed(terms)))  # the free column: largest monomial
+    for vec in reversed(_kernel(echelon(rows.values()), len(monos))):
+        basis.append(Polynomial._trusted(ctx, {monos[j]: c for j, c in vec.items()}))
+        pivots.append(monos[next(reversed(vec))])  # the free column: largest monomial
     return FormSpace(ctx, degree, basis, pivots)
 
 

@@ -11,7 +11,8 @@ from eulersym import (GREVLEX, DegreeCapExceeded, FormSpace, GroebnerBasis,
 from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
                                _monomial_quot)
 from eulersym.model import EulerModel
-from eulersym.poly import Monomial, _as_scalar, grevlex_key
+from eulersym.jets import Parametrization
+from eulersym.poly import Monomial, _as_scalar, compose_linear, grevlex_key, translate
 from eulersym.spaces import nullspace
 from eulersym import sampling
 
@@ -175,6 +176,50 @@ def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if rank == len(rows):
             break
     return rows[:rank], pivots
+
+
+def dense_span(polys: Sequence[Polynomial], ctx: VarContext, degree: int) -> FormSpace:
+    """The echelon basis of the span, from dense rows over the descending monomials.
+
+    The library's former `FormSpace.span`, on `dense_rref`; kept as an
+    independent oracle for the sparse `FormSpace.span` on `echelon`.
+    """
+    monos = monomials_of_degree(ctx, degree)
+    index = {m: j for j, m in enumerate(monos)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(monos)
+        for e, c in p.terms.items():
+            row[index[e]] = c
+        rows.append(row)
+    reduced, pivots = dense_rref(rows)
+    basis = [Polynomial(ctx, {monos[j]: c for j, c in enumerate(row) if c}) for row in reduced]
+    return FormSpace(ctx, degree, basis, [monos[j] for j in pivots])
+
+
+def dense_jet_filtration(param: Parametrization, base: Sequence) -> list[tuple[int, Polynomial]]:
+    """(vanishing order, reduced row) of the jet filtration at a base point.
+
+    The library's former `jet_filtration` on dense rows, with `dense_rref`
+    for both the linear re-coordinatization and the coefficient matrix;
+    kept as an independent oracle for the sparse rows of `jet_filtration`.
+    The base point must be nondegenerate.
+    """
+    ctx = param.context
+    n = ctx.n
+    shifted = [translate(c, [Fraction(b) for b in base]) for c in param.coords]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    aug = [[shifted[i].coefficient(e) for e in units] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    reduced, pivots = dense_rref(aug)
+    assert pivots[:n] == list(range(n)), "degenerate base point"
+    inv = [row[n:] for row in reduced]
+    polys = [Polynomial.constant(ctx, 1)] + [compose_linear(c, inv) for c in shifted]
+    columns = [m for d in range(max(p.degree() or 0 for p in polys) + 1)
+               for m in monomials_of_degree(ctx, d)]
+    reduced, pivots = dense_rref([[p.coefficient(m) for m in columns] for p in polys])
+    return [(sum(columns[pc]), Polynomial(ctx, {m: c for m, c in zip(columns, row) if c}))
+            for row, pc in zip(reduced, pivots)]
 
 
 def _basis_vector(n: int, i: int) -> tuple[int, ...]:

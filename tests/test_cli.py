@@ -267,6 +267,16 @@ def test_ff_flex_demonstration(capsys):
     assert "[info] base-point: (-3/7)" in out
 
 
+def test_ff_degenerate_chart_names_its_flat_direction(tmp_path, capsys):
+    degen = tmp_path / "degen.par"
+    degen.write_text("vars: x1 x2\ncoords: x1, x1\n")
+    code, out, err = run(capsys, "ff", str(degen))
+    assert code == 1
+    assert ("[fail] extraction: the first coordinate functions are degenerate at this "
+            "base point; flat directions: (0, 1)\n") in out
+    assert "Fraction" not in out and err == ""
+
+
 def test_ff_chart(capsys):
     code, out, _ = run(capsys, "ff", "epr.sys", "--chart")
     assert code == 0

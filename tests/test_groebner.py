@@ -35,14 +35,14 @@ def test_buchberger_known_basis():
     ctx = context("x", "y", "z")
     x, y, z = (Polynomial.variable(ctx, i) for i in range(3))
     ideal = GroebnerBasis.of([x**2 - y, x**3 - z], ctx, LEX)
-    assert ideal.contains(y**3 - z**2)
-    assert not ideal.contains(y**2 - z)
+    assert reduce_poly(y**3 - z**2, ideal.polys, LEX).is_zero()
+    assert not reduce_poly(y**2 - z, ideal.polys, LEX).is_zero()
 
 
 def test_reduction_is_zero_exactly_on_members():
     gb = GroebnerBasis.of([X1**2, X1 * X2], CTX)
-    assert gb.reduce(X1**2 * X3).is_zero()
-    assert gb.reduce(X2**2) == X2**2
+    assert reduce_poly(X1**2 * X3, gb.polys, gb.order).is_zero()
+    assert reduce_poly(X2**2, gb.polys, gb.order) == X2**2
 
 
 def test_unit_and_zero_ideals():

@@ -19,6 +19,7 @@ from eulersym import (
 )
 from eulersym.cli import bundled_text
 from eulersym.specfiles import parse_param_file
+from helpers import dense_jet_filtration
 
 BUNDLED_SYS = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -76,7 +77,7 @@ def test_immersion_failure_names_the_flat_directions():
     z1 = Polynomial.variable(ctx, 0)
     z2 = Polynomial.variable(ctx, 1)
     param = Parametrization(ctx, (z1, z1 * z2))
-    with pytest.raises(ImmersionError):
+    with pytest.raises(ImmersionError, match=r"flat directions: \(0, 1\)$"):
         jet_filtration(param)  # d(z1*z2) vanishes at 0 along z2
 
 
@@ -138,3 +139,16 @@ def test_fundamental_forms_carry_their_filtration_dims(name, base):
         param = _param(name)
     assert (extract_fundamental_forms(param, base).filtration_dims
             == jet_filtration(param, base).dims)
+
+
+@pytest.mark.parametrize("name,base", [
+    ("quadric.par", None), ("quadric.par", (2, -1)), ("quadric.par", (Fraction(-1, 2), 3)),
+    ("quadric.par", (10**30 + 1, Fraction(7, 10**30))), ("cubiccurve.par", None),
+    ("cubiccurve.par", (2,)), ("cubiccurve.par", (Fraction(-3, 7),)),
+    ("cubiccurve.par", (Fraction(10**30 + 1, 3),)),
+])
+def test_jet_filtration_matches_the_dense_oracle(name, base):
+    param = _param(name)
+    filt = jet_filtration(param, base)
+    at = filt.base_point
+    assert list(filt.rows) == dense_jet_filtration(param, at)

@@ -46,6 +46,31 @@ def test_projective_point_normalization():
         ProjectivePoint([0, 0])
 
 
+def _two_step_normalization(coords):
+    # the former ProjectivePoint: a Fraction per coordinate, then one per quotient
+    vals = [Fraction(c) for c in coords]
+    lead = next(c for c in vals if c)
+    return tuple(c / lead for c in vals)
+
+
+def test_integer_points_normalize_like_the_two_step_oracle():
+    rng = random.Random(5)
+    huge = 10**30
+    cases = [[rng.randint(-99, 99) for _ in range(rng.randint(1, 35))] for _ in range(200)]
+    cases += [[0] * rng.randint(1, 4) + [rng.choice([-1, 1]) * rng.randint(1, 99)]
+              + [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] for _ in range(50)]
+    cases += [[rng.randint(-huge, huge) for _ in range(rng.randint(1, 12))] for _ in range(50)]
+    cases += [[-7, 14, 0, -21], [0, 0, -3, 6, 9], [huge, -huge, 3 * huge, 0]]
+    cases = [c for c in cases if any(c)]
+    mixed = [[Fraction(c, rng.randint(1, 9)) if rng.random() < 0.3 else c for c in case]
+             for case in cases]
+    for coords in cases + mixed + [[True, 2, False], [0, True, 3]]:
+        point = ProjectivePoint(coords)
+        assert point.coords == _two_step_normalization(coords)
+        assert all(type(c) is Fraction for c in point.coords)
+        assert ProjectivePoint(iter(coords)) == point
+
+
 def test_action_inputs_must_be_exact_and_fit():
     with pytest.raises(TypeError):
         ProjectivePoint([0.5, 1])

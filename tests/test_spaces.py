@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from eulersym import (
     vanishing_space,
 )
 from eulersym.poly import default_context
-from eulersym.spaces import rref
-from helpers import (dense_kernel_of_map, dense_rref, dense_vanishing_space, loop_coordinates_of,
-                     loop_reduce)
+from eulersym.spaces import echelon, nullspace, rref
+from helpers import (dense_kernel_of_map, dense_rref, dense_span, dense_vanishing_space,
+                     loop_coordinates_of, loop_reduce)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -52,7 +53,8 @@ def test_zero_and_full():
     full = FormSpace.full(CTX, 2)
     assert full.is_full()
     assert full.dim == len(monomials_of_degree(CTX, 2)) == 6
-    assert FormSpace.zero(CTX, 2) <= full
+    assert all(full.contains(p) for p in FormSpace.span([X1 * X2, X3**2]).basis)
+    assert FormSpace.zero(CTX, 2).is_zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -206,6 +208,91 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rref_matches_the_dense_oracle(rows):
     assert rref(rows) == dense_rref(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_nullspace_is_the_kernel_of_the_free_columns(rows):
+    width = len(rows[0]) if rows else 4
+    _, pivots = dense_rref(rows)
+    free = [j for j in range(width) if j not in pivots]
+    kernel = nullspace(rows, width)
+    assert len(kernel) == len(free)
+    for f, vec in zip(free, kernel):
+        assert all(type(c) is Fraction for c in vec)
+        assert [vec[j] for j in free] == [int(j == f) for j in free]
+        assert all(vec[j] == 0 for j in range(f + 1, width))
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+BIG = 10**30
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rational rows {column: value} with empty, all-zero, duplicate,
+    negated and 30-digit-coefficient rows among them."""
+    width = draw(st.integers(1, 8))
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    big = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+    entry = draw(st.sampled_from([small, big, st.one_of(small, big)]))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random", "empty", "zeros", "duplicate", "negated"]))
+        if kind == "empty":
+            rows.append({})
+        elif kind == "zeros":
+            rows.append({j: Fraction(0) for j in draw(st.sets(st.integers(0, width - 1)))})
+        elif kind in ("duplicate", "negated") and rows:
+            row = draw(st.sampled_from(rows))
+            rows.append({j: -c if kind == "negated" else c for j, c in row.items()})
+        else:
+            rows.append({j: draw(entry) for j in draw(st.sets(st.integers(0, width - 1)))})
+    return width, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_rows())
+def test_echelon_matches_the_dense_oracle(case):
+    width, rows = case
+    basis = echelon(rows)
+    reduced, pivots = dense_rref([[row.get(j, Fraction(0)) for j in range(width)]
+                                  for row in rows])
+    assert sorted(basis) == pivots
+    for p, dense in zip(pivots, reduced):
+        row = basis[p]
+        assert min(row) == p and row[p] > 0
+        assert all(type(c) is int and c for c in row.values())
+        assert gcd(*row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[p]) for j in range(width)] == dense
+
+
+@st.composite
+def form_lists(draw):
+    """Spanning lists of forms with zero, repeated and dependent members."""
+    ctx = default_context(draw(st.integers(1, 3)))
+    degree = draw(st.integers(0, 3))
+    monos = monomials_of_degree(ctx, degree)
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    polys = []
+    for _ in range(draw(st.integers(0, 6))):
+        if polys and draw(st.booleans()):
+            a, b = draw(st.sampled_from(polys)), draw(st.sampled_from(polys))
+            polys.append(draw(entry) * a + draw(entry) * b)
+        else:
+            polys.append(Polynomial(ctx, {m: draw(entry) for m in
+                                          draw(st.lists(st.sampled_from(monos), max_size=5))}))
+    return ctx, degree, polys
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_lists())
+def test_span_matches_the_dense_oracle(case):
+    ctx, degree, polys = case
+    space = FormSpace.span(polys, ctx, degree)
+    oracle = dense_span(polys, ctx, degree)
+    assert space == oracle
+    assert space.basis == oracle.basis and space.pivots == oracle.pivots
 
 
 def test_rref_matches_sympy():

@@ -23,9 +23,10 @@ from eulersym import (
 )
 import eulersym.systems
 from eulersym.cli import bundled_text
+from eulersym.spaces import kernel_of_map
 from eulersym.systems import structural_diagnostics
 from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
-                     random_poly)
+                     dense_kernel_of_map, random_poly)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -117,6 +118,41 @@ def _segre_dense(n, seed):
     for f in forms[1:]:
         top = top * f
     return from_polynomial(top)
+
+
+def _segre_monomial(n, seed):
+    # x1*...*xn after the seeded substitution x_i -> s_i * x_perm(i)
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(n)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    top = Polynomial.constant(ctx, 1)
+    for i in perm:
+        top = top * (rng.choice([-3, -2, -1, 2, 3]) * Polynomial.variable(ctx, i))
+    return from_polynomial(top)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("frame", ["monomial", "dense"])
+def test_segre_prolongation_kernels_match_the_dense_kernel(n, frame, monkeypatch):
+    s = (_segre_monomial if frame == "monomial" else _segre_dense)(n, 20 + n)
+    calls = []
+
+    def spy(ctx, degree, images):
+        kernel = kernel_of_map(ctx, degree, images)
+        calls.append((ctx, degree, images, kernel))
+        return kernel
+
+    monkeypatch.setattr(eulersym.systems, "kernel_of_map", spy)
+    for k in range(1, s.rank + 1):
+        prolong(s.component(k))
+    assert len(calls) == s.rank
+    for ctx, degree, images, kernel in calls:
+        labels = sorted({label for image in images.values() for label in image})
+        dense = {m: [[image.get(label, 0) for label in labels]] for m, image in images.items()}
+        oracle = dense_kernel_of_map(ctx, degree, dense)
+        assert kernel == oracle
+        assert kernel.basis == oracle.basis and kernel.pivots == oracle.pivots
 
 
 PROLONG_CASES = {
