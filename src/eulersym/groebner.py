@@ -194,37 +194,29 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# saturation by revlex colons
+# saturation by one revlex colon, certified on the leading monomials
 
-def _permute(p: Polynomial, perm: Sequence[int]) -> Polynomial:
-    """Rename variable perm[j] to slot j."""
-    return Polynomial(p.context, {tuple(e[i] for i in perm): c for e, c in p.terms.items()})
-
-
-def _revlex_colon(gens: Sequence[Polynomial], degree_cap: int) -> list[Polynomial]:
-    """Groebner basis of I : x_n^infinity for homogeneous I (Bayer-Stillman):
-    x_n is the smallest variable in grevlex, so it is a grevlex basis of I
-    with each element divided by its largest power of x_n."""
-    out = []
-    for g in buchberger(gens, GREVLEX, degree_cap):
-        low = min(e[-1] for e in g.terms)
-        out.append(Polynomial(g.context, {e[:-1] + (e[-1] - low,): c
-                                          for e, c in g.terms.items()}))
-    return out
+def _in_monomial_saturation(u: Monomial, lms: Sequence[Monomial]) -> bool:
+    """x^u in (lms) : m^inf: for every i some lms divides x^u away from x_i."""
+    return all(any(all(a <= b for k, (a, b) in enumerate(zip(m, u)) if k != i) for m in lms)
+               for i in range(len(u)))
 
 
 def saturate_ideal(gens: Sequence[Polynomial],
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Saturation of a homogeneous ideal by the irrelevant ideal (x1..xn).
+    """Saturation of a homogeneous ideal by the irrelevant ideal m = (x1..xn).
 
-    The saturation is the meet of the colons C_i = I : x_i^infinity and
-    lies in J = I : l^infinity for every linear form l, so J is the
-    saturation once every generator of J lies in every C_i.  All of them
-    are revlex colons: x_i is moved to the last slot, l is made the last
-    coordinate.  l_j = sum_i j^i x_i is tried for j = 1, 2, ...: any n of
-    these are independent, so only finitely many fall in the linear span
-    of an associated prime, and the loop ends.  Returns the reduced
-    grevlex basis.
+    For l = l_j = sum_i j^i x_i, j = 1, 2, ..., take the grevlex basis G of
+    I in coordinates y with l = y_n.  G divided by powers of y_n is a basis
+    of J = I : l^inf (Bayer-Stillman), so in(J) is M' = M with y_n stripped,
+    M = in(I).  J is saturated and I <= I^sat <= J, so J = I^sat iff J/I has
+    finite length, iff M'/M does (Macaulay: an ideal and its initial ideal
+    share a Hilbert function), iff M' lies in M : m^inf, a finite test on
+    exponents.  Only finitely many l_j lie in the span of an associated
+    prime, so the loop ends.  One Buchberger run per l_j and one for the
+    reduced basis (of gens when J = I); the former test against all n colons
+    I : x_i^inf ran these and more, so the degree cap fires only where it
+    fired before.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -235,17 +227,20 @@ def saturate_ideal(gens: Sequence[Polynomial],
             raise ValueError("generators live over different contexts")
         g.homogeneous_degree()  # raises HomogeneityError when inhomogeneous
     n = ctx.n
-    perms = [[j for j in range(n) if j != i] + [i] for i in range(n)]  # x_i last
-    colons = [(p, _revlex_colon([_permute(g, p) for g in gens], degree_cap)) for p in perms]
     for j in count(1):
         ell = [Fraction(j) ** (i + 1) for i in range(n)]
         # x = A y makes l the last coordinate y_n, and y = B x undoes it
         B = [[Fraction(int(a == b)) for b in range(n)] for a in range(n - 1)] + [ell]
         A = B[:-1] + [[-c / ell[-1] for c in ell[:-1]] + [1 / ell[-1]]]
-        J = [compose_linear(h, B)
-             for h in _revlex_colon([compose_linear(g, A) for g in gens], degree_cap)]
-        if not any(reduce_poly(_permute(h, p), basis, GREVLEX)
-                   for p, basis in colons for h in J):
+        G = buchberger([compose_linear(g, A) for g in gens], GREVLEX, degree_cap)
+        lms = [leading_monomial(g, GREVLEX) for g in G]
+        if not any(m[-1] for m in lms):
+            return GroebnerBasis(ctx, GREVLEX, buchberger(gens, GREVLEX, degree_cap))
+        if all(_in_monomial_saturation(m[:-1] + (0,), lms) for m in lms if m[-1]):
+            # grevlex: y_n has its least exponent in a homogeneous g's leading term
+            J = [compose_linear(Polynomial._trusted(ctx, {e[:-1] + (e[-1] - m[-1],): c
+                                                          for e, c in g.terms.items()}), B)
+                 for g, m in zip(G, lms)]
             return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX, degree_cap))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContextMismatchError, HomogeneityError
@@ -106,6 +107,25 @@ def _as_scalar(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+
+
+def _mul_terms(f: Mapping[Monomial, Fraction],
+               g: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """Product of two clean term dicts, as a clean term dict."""
+    out: dict[Monomial, Fraction] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2  # both nonzero
+            else:
+                s += c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
 
 
 class Polynomial:
@@ -251,16 +271,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        out: dict[Monomial, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial._trusted(self.context, out)
+        return Polynomial._trusted(self.context, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -408,24 +419,33 @@ def translate(p: Polynomial, point: Sequence) -> Polynomial:
 
 
 def compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
-    """Substitute x_i -> sum_j matrix[i][j] * x_j."""
+    """Substitute x_i -> sum_j matrix[i][j] * x_j.
+
+    The powers of each image form are expanded once, up to the largest
+    exponent of x_i in p, and each term of p becomes one product of them.
+    """
     ctx = p.context
+    n = ctx.n
     rows = [[_as_scalar(c) for c in row] for row in matrix]
-    if len(rows) != ctx.n or any(len(r) != ctx.n for r in rows):
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise ContextMismatchError("substitution matrix must be square of size n")
-    images = [
-        Polynomial(ctx, {tuple(1 if j == k else 0 for k in range(ctx.n)): c
-                         for j, c in enumerate(row) if c})
-        for row in rows
-    ]
-    out = Polynomial.zero(ctx)
+    one = (0,) * n
+    powers = []
+    for i, row in enumerate(rows):
+        image = {tuple(int(j == k) for k in range(n)): c for j, c in enumerate(row) if c}
+        pw = [{one: Fraction(1)}]
+        for _ in range(max((e[i] for e in p.terms), default=0)):
+            pw.append(_mul_terms(pw[-1], image))
+        powers.append(pw)
+    out: dict[Monomial, Fraction] = {}
     for expo, coeff in p.terms.items():
-        term = Polynomial.constant(ctx, coeff)
-        for i, e in enumerate(expo):
-            for _ in range(e):
-                term = term * images[i]
-        out = out + term
-    return out
+        term = {one: coeff}
+        for pw, e in zip(powers, expo):
+            if e:
+                term = _mul_terms(term, pw[e])
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + c
+    return Polynomial._trusted(ctx, {m: c for m, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import count
 from math import comb
 from typing import Mapping, Sequence
 
-from eulersym import (GREVLEX, DegreeCapExceeded, FormSpace, GroebnerBasis,
+from eulersym import (GREVLEX, ContextMismatchError, DegreeCapExceeded, FormSpace, GroebnerBasis,
                       MonomialOrder, Polynomial, ProjectivePoint, SymbolSystem, VarContext,
-                      assemble, buchberger, contract, evaluate, monomials_of_degree, phi_eval)
+                      assemble, buchberger, context, contract, evaluate, from_polynomial,
+                      monomials_of_degree, phi_eval)
 from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
-                               _monomial_quot)
+                               _monomial_quot, reduce_poly)
 from eulersym.model import EulerModel
 from eulersym.jets import Parametrization
 from eulersym.poly import Monomial, _as_scalar, compose_linear, grevlex_key, translate
@@ -405,6 +407,36 @@ def dense_vanishing_space(ctx: VarContext, degree: int, points: Sequence[Sequenc
 
 
 # ---------------------------------------------------------------------------
+# Segre products P1^n, from_polynomial(x1*...*xn) in a seeded frame
+
+def segre_dense(n, seed):
+    # x1*...*xn in a seeded frame of n independent forms with entries in [-2, 2]
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(n)))
+    while True:
+        forms = [Polynomial(ctx, {tuple(int(j == i) for j in range(n)): rng.randint(-2, 2)
+                                  for i in range(n)}) for _ in range(n)]
+        if FormSpace.span(forms, ctx, 1).is_full():
+            break
+    top = forms[0]
+    for f in forms[1:]:
+        top = top * f
+    return from_polynomial(top)
+
+
+def segre_monomial(n, seed):
+    # x1*...*xn after the seeded substitution x_i -> s_i * x_perm(i)
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(n)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    top = Polynomial.constant(ctx, 1)
+    for i in perm:
+        top = top * (rng.choice([-3, -2, -1, 2, 3]) * Polynomial.variable(ctx, i))
+    return from_polynomial(top)
+
+
+# ---------------------------------------------------------------------------
 # the library's former saturation by auxiliary-variable elimination, kept as
 # an independent oracle for the revlex-colon `saturate_ideal`
 
@@ -510,6 +542,90 @@ def elimination_saturate(gens: Sequence[Polynomial],
     if result is None:
         result = unit
     return GroebnerBasis(ctx, GREVLEX, buchberger(result, GREVLEX, degree_cap))
+
+
+# ---------------------------------------------------------------------------
+# the library's former saturation, which certified J = I : l^infinity by
+# reducing each generator of J against all n colons I : x_i^infinity; kept
+# as an oracle for the certificate read off the leading monomials
+
+def _permute(p: Polynomial, perm: Sequence[int]) -> Polynomial:
+    """Rename variable perm[j] to slot j."""
+    return Polynomial(p.context, {tuple(e[i] for i in perm): c for e, c in p.terms.items()})
+
+
+def _revlex_colon(gens: Sequence[Polynomial], degree_cap: int) -> list[Polynomial]:
+    """Groebner basis of I : x_n^infinity for homogeneous I (Bayer-Stillman):
+    x_n is the smallest variable in grevlex, so it is a grevlex basis of I
+    with each element divided by its largest power of x_n."""
+    out = []
+    for g in buchberger(gens, GREVLEX, degree_cap):
+        low = min(e[-1] for e in g.terms)
+        out.append(Polynomial(g.context, {e[:-1] + (e[-1] - low,): c
+                                          for e, c in g.terms.items()}))
+    return out
+
+
+def colon_saturate(gens: Sequence[Polynomial],
+                   degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+    """Saturation of a homogeneous ideal by the irrelevant ideal (x1..xn).
+
+    The saturation is the meet of the colons C_i = I : x_i^infinity and
+    lies in J = I : l^infinity for every linear form l, so J is the
+    saturation once every generator of J lies in every C_i.  All of them
+    are revlex colons: x_i is moved to the last slot, l is made the last
+    coordinate.  l_j = sum_i j^i x_i is tried for j = 1, 2, ...: any n of
+    these are independent, so only finitely many fall in the linear span
+    of an associated prime, and the loop ends.  Returns the reduced
+    grevlex basis.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise ValueError("saturation of the zero ideal is not meaningful here")
+    ctx = gens[0].context
+    for g in gens:
+        if g.context != ctx:
+            raise ValueError("generators live over different contexts")
+        g.homogeneous_degree()  # raises HomogeneityError when inhomogeneous
+    n = ctx.n
+    perms = [[j for j in range(n) if j != i] + [i] for i in range(n)]  # x_i last
+    colons = [(p, _revlex_colon([_permute(g, p) for g in gens], degree_cap)) for p in perms]
+    for j in count(1):
+        ell = [Fraction(j) ** (i + 1) for i in range(n)]
+        # x = A y makes l the last coordinate y_n, and y = B x undoes it
+        B = [[Fraction(int(a == b)) for b in range(n)] for a in range(n - 1)] + [ell]
+        A = B[:-1] + [[-c / ell[-1] for c in ell[:-1]] + [1 / ell[-1]]]
+        J = [compose_linear(h, B)
+             for h in _revlex_colon([compose_linear(g, A) for g in gens], degree_cap)]
+        if not any(reduce_poly(_permute(h, p), basis, GREVLEX)
+                   for p, basis in colons for h in J):
+            return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX, degree_cap))
+
+
+# ---------------------------------------------------------------------------
+# the library's former `compose_linear`, which builds a Polynomial per term
+# and multiplies in one image form per degree; kept as an oracle for the
+# dict-level expansion over cached powers
+
+def termwise_compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
+    """Substitute x_i -> sum_j matrix[i][j] * x_j."""
+    ctx = p.context
+    rows = [[_as_scalar(c) for c in row] for row in matrix]
+    if len(rows) != ctx.n or any(len(r) != ctx.n for r in rows):
+        raise ContextMismatchError("substitution matrix must be square of size n")
+    images = [
+        Polynomial(ctx, {tuple(1 if j == k else 0 for k in range(ctx.n)): c
+                         for j, c in enumerate(row) if c})
+        for row in rows
+    ]
+    out = Polynomial.zero(ctx)
+    for expo, coeff in p.terms.items():
+        term = Polynomial.constant(ctx, coeff)
+        for i, e in enumerate(expo):
+            for _ in range(e):
+                term = term * images[i]
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ from eulersym import (
 from eulersym.groebner import leading_monomial, reduce_poly
 from eulersym.poly import GREVLEX, LEX, MonomialOrder, grevlex_key, lex_key
 from eulersym import sampling
-from helpers import (block_order, colon_by_variable_power, elimination_saturate,
-                     intersect_ideals, pairset_buchberger, pairset_reduce_poly, random_poly)
+import eulersym.groebner
+import helpers
+from eulersym.cli import bundled_text
+from eulersym.specfiles import system_from_file
+from helpers import (block_order, colon_by_variable_power, colon_saturate, elimination_saturate,
+                     intersect_ideals, pairset_buchberger, pairset_reduce_poly, random_poly,
+                     segre_dense, segre_monomial)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -108,6 +113,85 @@ def test_saturation_needs_a_second_linear_form():
     sat = saturate_ideal(gens)
     assert [str(g) for g in sat.polys] == ["x1 + x2 + x3"]
     assert sat == elimination_saturate(gens)
+
+
+L1 = X1 + X2 + X3  # l_1 and l_2 of saturate_ideal's sequence l_j = sum_i j^i x_i
+L2 = 2 * X1 + 4 * X2 + 8 * X3
+X = Polynomial.variable(context("x1"), 0)
+SEGRE = {"monomial": segre_monomial, "dense": segre_dense}
+COLON_CASES = {
+    "l1*m": lambda: [L1 * x for x in (X1, X2, X3)],
+    # I : l_1^inf = (l_2) and I : l_2^inf = (l_1) both fail; l_3 certifies
+    "l1*l2*m": lambda: [L1 * L2 * x for x in (X1, X2, X3)],
+    "x1^2 in one variable": lambda: [X**2],  # saturates to the unit ideal
+    # the square of the point x2 = l_1 = 0, saturated already: in the l_1
+    # frame only the colon by x1^inf (x1 is the point's nonzero coordinate)
+    # shows that I : l_1^inf, the unit ideal, is too large
+    "point-squared": lambda: [X2**2, X2 * L1, L1**2],
+    **{f"segre-P1^{n}-{frame}": (lambda n=n, frame=frame:
+                                 list(SEGRE[frame](n, 30 + n).component(2).basis))
+       for n in (3, 4, 5) for frame in SEGRE},
+    **{f"random-{seed}": (lambda seed=seed: _random_ideal(seed)) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLON_CASES))
+def test_saturation_matches_the_colon_oracle(case):
+    # the leading-monomial certificate accepts the same l_j as the former
+    # test of J against every colon I : x_i^inf, so the bases are equal
+    gens = COLON_CASES[case]()
+    sat = saturate_ideal(gens)
+    assert sat == colon_saturate(gens)
+    assert [str(g) for g in sat.polys] == [str(g) for g in colon_saturate(gens).polys]
+
+
+def test_saturation_of_a_square_in_one_variable_is_the_unit_ideal():
+    assert saturate_ideal([X**2]).is_unit_ideal()
+
+
+def _buchberger_runs(monkeypatch, saturate, gens):
+    runs = []
+    real = eulersym.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eulersym.groebner, "buchberger", counting)
+    monkeypatch.setattr(helpers, "buchberger", counting)
+    saturate(gens)
+    return len(runs)
+
+
+def test_saturation_runs_one_completion_per_linear_form_and_one_more(monkeypatch):
+    f2 = list(system_from_file(bundled_text("triple.sys")).component(2).basis)
+    assert _buchberger_runs(monkeypatch, saturate_ideal, f2) == 2
+    assert _buchberger_runs(monkeypatch, colon_saturate, f2) == 5
+    triple_fail = COLON_CASES["l1*l2*m"]()
+    assert _buchberger_runs(monkeypatch, saturate_ideal, triple_fail) == 4
+    assert _buchberger_runs(monkeypatch, colon_saturate, triple_fail) == 7
+
+
+CAPPED = [X1**2 * X2, X2**3 + X3**3, X1 * X3**2]
+
+
+@pytest.mark.parametrize("cap, degree", [(2, 3), (3, 4), (4, 5), (5, 6)])
+def test_saturation_degree_cap_fires_where_the_colon_oracle_fired(cap, degree):
+    # the first over-cap S-pair comes from the l_1-frame completion;
+    # colon_saturate runs that completion too (after the n colons, which
+    # stop it at degree 5 for caps 2 to 4), so its cap fires as well
+    with pytest.raises(DegreeCapExceeded) as exc:
+        saturate_ideal(CAPPED, degree_cap=cap)
+    assert str(exc.value) == (f"S-pair degree {degree} exceeds the cap {cap}; "
+                              "raise degree_cap if this ideal is really wanted")
+    with pytest.raises(DegreeCapExceeded):
+        colon_saturate(CAPPED, degree_cap=cap)
+
+
+def test_saturation_just_under_the_cap_matches_the_colon_oracle():
+    sat = saturate_ideal(CAPPED, degree_cap=6)
+    assert [str(g) for g in sat.polys] == ["x2^3 + x3^3", "x1*x3^2", "x1*x2"]
+    assert sat == colon_saturate(CAPPED, degree_cap=6)
 
 
 def test_saturation_of_multiple_generators():

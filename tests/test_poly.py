@@ -23,7 +23,7 @@ from eulersym import (
 from eulersym import sampling
 from eulersym.groebner import leading_monomial, reduce_poly
 from eulersym.poly import GREVLEX, LEX
-from helpers import random_poly
+from helpers import random_poly, termwise_compose_linear
 
 CTX2 = context("x1", "x2")
 CTX3 = context("x1", "x2", "x3")
@@ -118,6 +118,32 @@ def test_compose_linear_matches_evaluation():
         x = sampling.vector(rng, 2)
         image = [m[0][0] * x[0] + m[0][1] * x[1], m[1][0] * x[0] + m[1][1] * x[1]]
         assert compose_linear(p, m)(x) == p(image)
+
+
+def _substitution_matrix(rng, n, kind):
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        return [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    rows = [[sampling.rational(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":  # a zero row, or a row repeating another
+        i = rng.randrange(n)
+        rows[i] = [0] * n if n == 1 or rng.random() < 0.5 else list(rows[i - 1])
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["rational", "singular", "permutation"])
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_linear_matches_the_termwise_oracle(seed, kind):
+    # the cached-power expansion against the former Polynomial-per-term loop
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(rng.randint(1, 4))))
+    matrix = _substitution_matrix(rng, ctx.n, kind)
+    forms = [random_poly(rng, ctx, rng.randint(0, 4), homogeneous=rng.random() < 0.5)
+             for _ in range(4)] + [Polynomial.zero(ctx)]
+    for p in forms:
+        got = compose_linear(p, matrix)
+        assert got == termwise_compose_linear(p, matrix)
+        assert all(c for c in got.terms.values())
 
 
 def test_format_polynomial():

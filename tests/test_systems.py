@@ -26,7 +26,7 @@ from eulersym.cli import bundled_text
 from eulersym.spaces import kernel_of_map
 from eulersym.systems import structural_diagnostics
 from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
-                     dense_kernel_of_map, random_poly)
+                     dense_kernel_of_map, random_poly, segre_dense, segre_monomial)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -105,37 +105,10 @@ def test_prolongation_against_sympy_oracle(n):
     assert p2 == FormSpace.span([ws[0] ** 2 * w for w in ws])
 
 
-def _segre_dense(n, seed):
-    # x1*...*xn in a seeded frame of n independent forms with entries in [-2, 2]
-    rng = random.Random(seed)
-    ctx = context(*(f"x{i + 1}" for i in range(n)))
-    while True:
-        forms = [Polynomial(ctx, {tuple(int(j == i) for j in range(n)): rng.randint(-2, 2)
-                                  for i in range(n)}) for _ in range(n)]
-        if FormSpace.span(forms, ctx, 1).is_full():
-            break
-    top = forms[0]
-    for f in forms[1:]:
-        top = top * f
-    return from_polynomial(top)
-
-
-def _segre_monomial(n, seed):
-    # x1*...*xn after the seeded substitution x_i -> s_i * x_perm(i)
-    rng = random.Random(seed)
-    ctx = context(*(f"x{i + 1}" for i in range(n)))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    top = Polynomial.constant(ctx, 1)
-    for i in perm:
-        top = top * (rng.choice([-3, -2, -1, 2, 3]) * Polynomial.variable(ctx, i))
-    return from_polynomial(top)
-
-
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("frame", ["monomial", "dense"])
 def test_segre_prolongation_kernels_match_the_dense_kernel(n, frame, monkeypatch):
-    s = (_segre_monomial if frame == "monomial" else _segre_dense)(n, 20 + n)
+    s = (segre_monomial if frame == "monomial" else segre_dense)(n, 20 + n)
     calls = []
 
     def spy(ctx, degree, images):
@@ -158,8 +131,8 @@ def test_segre_prolongation_kernels_match_the_dense_kernel(n, frame, monkeypatch
 PROLONG_CASES = {
     **{name: lambda name=name: _bundled(name)
        for name in ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")},
-    "segre-P1^3-dense": lambda: _segre_dense(3, 11),
-    "segre-P1^4-dense": lambda: _segre_dense(4, 12),
+    "segre-P1^3-dense": lambda: segre_dense(3, 11),
+    "segre-P1^4-dense": lambda: segre_dense(4, 12),
     "full(2,3)": lambda: full_system(2, 3),
 }
 
