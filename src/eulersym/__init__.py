@@ -10,10 +10,10 @@ from .jets import (CartanReport, FFSystem, JetFiltration, Parametrization,
                    cartan_check, extract_fundamental_forms, jet_filtration)
 from .model import (EulerModel, ProjectivePoint, build_model, euler_act,
                     group_act, implicitize, orbit_curve_degree, phi_eval,
-                    pullback, recover_symbols)
+                    pullback)
 from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VarContext,
                    compose_linear, context, contract, evaluate,
-                   format_polynomial, polarize, translate)
+                   format_polynomial, translate)
 from .spaces import (FormSpace, kernel_of_map, monomials_of_degree,
                      vanishing_space)
 from .specfiles import (ParamFile, SymbolFile, format_symbol_file,

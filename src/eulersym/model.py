@@ -43,9 +43,10 @@ from math import lcm
 from typing import Sequence
 
 from . import sampling
-from .poly import Polynomial, VarContext, _as_scalar, evaluate
+from .errors import ContextMismatchError
+from .poly import Polynomial, VarContext, _as_scalar, evaluate, substitute
 from .spaces import FormSpace, kernel_of_map, monomials_of_degree
-from .systems import SymbolSystem, assemble
+from .systems import SymbolSystem
 
 
 @dataclass(frozen=True)
@@ -229,17 +230,6 @@ def orbit_curve_degree(model: EulerModel, w: Sequence) -> int:
     return 1
 
 
-def recover_symbols(model: EulerModel) -> SymbolSystem:
-    """Re-read the graded system from the chart coordinate functions."""
-    ctx = model.system.context
-    graded: dict[int, list[Polynomial]] = {}
-    for f in model.chart_functions():
-        d = f.homogeneous_degree()
-        if d >= 2:
-            graded.setdefault(d, []).append(f)
-    return assemble(ctx, model.rank, graded)
-
-
 def random_ambient_point(model: EulerModel, rng: random.Random) -> ProjectivePoint:
     """Arbitrary ambient point; in general nowhere near the model."""
     while True:
@@ -250,16 +240,12 @@ def random_ambient_point(model: EulerModel, rng: random.Random) -> ProjectivePoi
 
 def pullback(model: EulerModel, p: Polynomial) -> Polynomial:
     """p(1, w, b^2(w), ..., b^r(w)): an ambient form on the t = 1 chart."""
+    if p.context != model.ambient:
+        raise ContextMismatchError(
+            f"pullback needs a form over the ambient ({model.ambient}), got ({p.context})")
     ctx = model.system.context
-    charts = [Polynomial.constant(ctx, 1)] + model.chart_functions()
-    out = Polynomial.zero(ctx)
-    for expo, coeff in p.terms.items():
-        term = Polynomial.constant(ctx, coeff)
-        for f, e in zip(charts, expo):
-            if e:
-                term = term * f**e
-        out = out + term
-    return out
+    return substitute(p, ctx, [{(0,) * ctx.n: Fraction(1)}]
+                      + [f.terms for f in model.chart_functions()])
 
 
 def implicitize(model: EulerModel, degree: int) -> FormSpace:

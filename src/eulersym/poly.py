@@ -4,22 +4,17 @@ A polynomial is a sparse map from exponent tuples to nonzero Fraction
 coefficients, tied to a ``VarContext`` that fixes the ordered variable
 list.  All arithmetic is exact; nothing here ever touches floats.
 
-The one operation beyond ring arithmetic is the contraction operator:
-for a homogeneous P of degree k and a vector v,
-
-    contract(P, v) = (1/k) * D_v P
-
-where D_v is the directional derivative.  With this normalization the
-k-fold contraction of P by w recovers the evaluation P(w), and a single
-contraction of a quadratic monomial x1*x2 by a basis vector e1 gives
-(1/2)*x2.  Contraction of a degree-0 form is 0 by convention.
+Every substitution x_i -> f_i goes through one rule, `substitute`: the
+powers of each image f_i are expanded once, up to the largest exponent
+of x_i in p, and each term of p becomes one product of those powers.
+`translate` (f_i = x_i + a_i) and `compose_linear` (f_i a linear form)
+only build their images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -338,19 +333,6 @@ def evaluate(p: Polynomial, point: Sequence) -> Fraction:
     return total
 
 
-def directional_derivative(p: Polynomial, v: Sequence) -> Polynomial:
-    vals = [_as_scalar(c) for c in v]
-    if len(vals) != p.context.n:
-        raise ContextMismatchError(
-            f"vector has {len(vals)} coordinates, context has {p.context.n} variables"
-        )
-    out = Polynomial.zero(p.context)
-    for i, vi in enumerate(vals):
-        if vi:
-            out = out + p.derivative(i) * vi
-    return out
-
-
 def contract(p: Polynomial, v: Sequence, times: int = 1) -> Polynomial:
     """times-fold contraction of a homogeneous p by the vector v.
 
@@ -365,74 +347,28 @@ def contract(p: Polynomial, v: Sequence, times: int = 1) -> Polynomial:
     k = p.homogeneous_degree()
     if times > k:
         return Polynomial.zero(p.context)
-    out = p
-    for step in range(times):
-        out = directional_derivative(out, v) * Fraction(1, k - step)
-    return out
-
-
-def polarize(p: Polynomial, vectors: Sequence[Sequence]) -> Fraction:
-    """Full polarization: contract a degree-k form by exactly k vectors."""
-    if p.is_zero():
-        return Fraction(0)
-    k = p.homogeneous_degree()
-    if len(vectors) != k:
-        raise ValueError(f"polarization of a degree-{k} form needs {k} vectors, got {len(vectors)}")
-    out = p
-    for v in vectors:
-        out = contract(out, v)
-    return out.constant_value()
-
-
-def translate(p: Polynomial, point: Sequence) -> Polynomial:
-    """Substitute x_i -> x_i + a_i, exactly."""
-    vals = [_as_scalar(c) for c in point]
+    vals = [_as_scalar(c) for c in v]
     if len(vals) != p.context.n:
         raise ContextMismatchError(
-            f"point has {len(vals)} coordinates, context has {p.context.n} variables"
+            f"vector has {len(vals)} coordinates, context has {p.context.n} variables"
         )
-    ctx = p.context
-    out = Polynomial.zero(ctx)
-    for expo, coeff in p.terms.items():
-        # expand prod_i (x_i + a_i)^{e_i} by univariate convolution
-        parts = {(0,) * ctx.n: coeff}
-        for i, (e, a) in enumerate(zip(expo, vals)):
-            if e == 0:
-                continue
-            nxt: dict[Monomial, Fraction] = {}
-            for j in range(e + 1):
-                c = comb(e, j) * a ** (e - j)
-                if not c:
-                    continue
-                for mono, k in parts.items():
-                    m = list(mono)
-                    m[i] += j
-                    key = tuple(m)
-                    s = nxt.get(key, Fraction(0)) + k * c
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            parts = nxt
-        out = out + Polynomial(ctx, parts)
+    out = p
+    for step in range(times):
+        out = sum((out.derivative(i) * c for i, c in enumerate(vals) if c),
+                  Polynomial.zero(p.context)) * Fraction(1, k - step)
     return out
 
 
-def compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
-    """Substitute x_i -> sum_j matrix[i][j] * x_j.
+def substitute(p: Polynomial, ctx: VarContext,
+               images: Sequence[Mapping[Monomial, Fraction]]) -> Polynomial:
+    """p with x_i -> images[i], each image a clean term dict over ctx.
 
-    The powers of each image form are expanded once, up to the largest
+    The powers of each image are expanded once, up to the largest
     exponent of x_i in p, and each term of p becomes one product of them.
     """
-    ctx = p.context
-    n = ctx.n
-    rows = [[_as_scalar(c) for c in row] for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ContextMismatchError("substitution matrix must be square of size n")
-    one = (0,) * n
+    one = (0,) * ctx.n
     powers = []
-    for i, row in enumerate(rows):
-        image = {tuple(int(j == k) for k in range(n)): c for j, c in enumerate(row) if c}
+    for i, image in enumerate(images):
         pw = [{one: Fraction(1)}]
         for _ in range(max((e[i] for e in p.terms), default=0)):
             pw.append(_mul_terms(pw[-1], image))
@@ -446,6 +382,33 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
         for m, c in term.items():
             out[m] = out.get(m, 0) + c
     return Polynomial._trusted(ctx, {m: c for m, c in out.items() if c})
+
+
+def translate(p: Polynomial, point: Sequence) -> Polynomial:
+    """Substitute x_i -> x_i + a_i, exactly."""
+    vals = [_as_scalar(c) for c in point]
+    ctx = p.context
+    n = ctx.n
+    if len(vals) != n:
+        raise ContextMismatchError(
+            f"point has {len(vals)} coordinates, context has {n} variables"
+        )
+    images = [{tuple(int(j == i) for j in range(n)): Fraction(1)} for i in range(n)]
+    for image, a in zip(images, vals):
+        if a:
+            image[(0,) * n] = a
+    return substitute(p, ctx, images)
+
+
+def compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
+    """Substitute x_i -> sum_j matrix[i][j] * x_j."""
+    ctx = p.context
+    n = ctx.n
+    rows = [[_as_scalar(c) for c in row] for row in matrix]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ContextMismatchError("substitution matrix must be square of size n")
+    return substitute(p, ctx, [{tuple(int(j == k) for k in range(n)): c
+                                for j, c in enumerate(row) if c} for row in rows])
 
 
 # ---------------------------------------------------------------------------

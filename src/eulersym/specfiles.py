@@ -154,7 +154,7 @@ class _PolyParser:
                 self.fail("expected an integer exponent", exp_tok)
             exp = _capped(exp_tok.text, MAX_TERM_DEGREE, "term degree", exp_tok.line,
                           exp_tok.col)
-        return Polynomial.variable(self.ctx, i) ** exp
+        return Polynomial.from_monomial(self.ctx, [exp * (j == i) for j in range(self.ctx.n)])
 
 
 def parse_polynomial(text: str, ctx: VarContext, line: int = 1, col: int = 1) -> Polynomial:

@@ -629,6 +629,101 @@ def termwise_compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polyno
 
 
 # ---------------------------------------------------------------------------
+# the library's former `translate` (a binomial convolution per term) and
+# former `pullback` (a Polynomial power chain per term); kept as oracles for
+# the one power-table expansion `substitute` behind both
+
+def convolution_translate(p: Polynomial, point: Sequence) -> Polynomial:
+    """Substitute x_i -> x_i + a_i, exactly."""
+    vals = [_as_scalar(c) for c in point]
+    if len(vals) != p.context.n:
+        raise ContextMismatchError(
+            f"point has {len(vals)} coordinates, context has {p.context.n} variables"
+        )
+    ctx = p.context
+    out = Polynomial.zero(ctx)
+    for expo, coeff in p.terms.items():
+        # expand prod_i (x_i + a_i)^{e_i} by univariate convolution
+        parts = {(0,) * ctx.n: coeff}
+        for i, (e, a) in enumerate(zip(expo, vals)):
+            if e == 0:
+                continue
+            nxt: dict[Monomial, Fraction] = {}
+            for j in range(e + 1):
+                c = comb(e, j) * a ** (e - j)
+                if not c:
+                    continue
+                for mono, k in parts.items():
+                    m = list(mono)
+                    m[i] += j
+                    key = tuple(m)
+                    s = nxt.get(key, Fraction(0)) + k * c
+                    if s:
+                        nxt[key] = s
+                    else:
+                        nxt.pop(key, None)
+            parts = nxt
+        out = out + Polynomial(ctx, parts)
+    return out
+
+
+def power_pullback(model: EulerModel, p: Polynomial) -> Polynomial:
+    """p(1, w, b^2(w), ..., b^r(w)): an ambient form on the t = 1 chart."""
+    ctx = model.system.context
+    charts = [Polynomial.constant(ctx, 1)] + model.chart_functions()
+    out = Polynomial.zero(ctx)
+    for expo, coeff in p.terms.items():
+        term = Polynomial.constant(ctx, coeff)
+        for f, e in zip(charts, expo):
+            if e:
+                term = term * f**e
+        out = out + term
+    return out
+
+
+# ---------------------------------------------------------------------------
+# former library functions no library code calls: the directional derivative
+# that `contract` now inlines, full polarization, and the symbol system read
+# back off a model's chart functions; kept as test oracles
+
+def directional_derivative(p: Polynomial, v: Sequence) -> Polynomial:
+    vals = [_as_scalar(c) for c in v]
+    if len(vals) != p.context.n:
+        raise ContextMismatchError(
+            f"vector has {len(vals)} coordinates, context has {p.context.n} variables"
+        )
+    out = Polynomial.zero(p.context)
+    for i, vi in enumerate(vals):
+        if vi:
+            out = out + p.derivative(i) * vi
+    return out
+
+
+def polarize(p: Polynomial, vectors: Sequence[Sequence]) -> Fraction:
+    """Full polarization: contract a degree-k form by exactly k vectors."""
+    if p.is_zero():
+        return Fraction(0)
+    k = p.homogeneous_degree()
+    if len(vectors) != k:
+        raise ValueError(f"polarization of a degree-{k} form needs {k} vectors, got {len(vectors)}")
+    out = p
+    for v in vectors:
+        out = contract(out, v)
+    return out.constant_value()
+
+
+def recover_symbols(model: EulerModel) -> SymbolSystem:
+    """Re-read the graded system from the chart coordinate functions."""
+    ctx = model.system.context
+    graded: dict[int, list[Polynomial]] = {}
+    for f in model.chart_functions():
+        d = f.homogeneous_degree()
+        if d >= 2:
+            graded.setdefault(d, []).append(f)
+    return assemble(ctx, model.rank, graded)
+
+
+# ---------------------------------------------------------------------------
 # the library's former Buchberger, which re-derives every leading monomial
 # and picks each pair by min() over a set; kept as an independent oracle for
 # the heap, the leading-monomial cache and the dict-level normal form

@@ -29,7 +29,6 @@ from eulersym import (
     orbit_curve_degree,
     order,
     phi_eval,
-    recover_symbols,
     saturate_ideal,
     system_from_file,
 )
@@ -37,7 +36,7 @@ from eulersym import sampling
 from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point
 from eulersym.specfiles import parse_param_file
-from helpers import constrained_direction, random_image_point, random_poly
+from helpers import constrained_direction, random_image_point, random_poly, recover_symbols
 
 BUNDLED_SYS = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from eulersym import (
+    ContextMismatchError,
     Polynomial,
     ProjectivePoint,
     assemble,
@@ -20,7 +21,6 @@ from eulersym import (
     orbit_curve_degree,
     phi_eval,
     pullback,
-    recover_symbols,
     system_from_file,
 )
 from eulersym import sampling
@@ -29,7 +29,8 @@ from eulersym.model import random_ambient_point
 
 from eulersym.spaces import rref
 from helpers import (chain_group_act, contraction_nilpotents, fraction_group_act,
-                     random_image_point, sampled_implicitize)
+                     power_pullback, random_image_point, random_poly, recover_symbols,
+                     sampled_implicitize)
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -379,6 +380,32 @@ def test_pullback_of_a_non_relation_is_nonzero():
     z0, z1 = (Polynomial.variable(model.ambient, i) for i in range(2))
     x1 = Polynomial.variable(model.system.context, 0)
     assert pullback(model, z0 * z1 - z1 * z1) == x1 - x1 * x1
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_pullback_matches_the_power_chain_oracle(name):
+    # the shared power-table expansion against the former chain of f**e
+    model = build_model(_bundled(name))
+    for g in implicitize(model, 2).basis:
+        assert pullback(model, g).is_zero()
+        assert power_pullback(model, g).is_zero()
+    rng = random.Random(name)
+    forms = [random_poly(rng, model.ambient, rng.randint(0, 3), homogeneous=rng.random() < 0.5)
+             for _ in range(6)]
+    for p in forms:
+        assert pullback(model, p) == power_pullback(model, p)
+    assert all(pullback(model, p) for p in forms)
+
+
+def test_pullback_rejects_a_form_over_another_context():
+    # quadric.sys has the ambient (z0 z1 z2 u2_1): a form over any other list is refused,
+    # with as many variables as the chart has images (a, b) or more (y1..y6)
+    model = build_model(_bundled("quadric.sys"))
+    a, b = (Polynomial.variable(context("a", "b"), i) for i in range(2))
+    y5 = Polynomial.variable(context(*(f"y{i}" for i in range(1, 7))), 4)
+    for p in (a * b, y5):
+        with pytest.raises(ContextMismatchError):
+            pullback(model, p)
 
 
 def test_moment_curve():

@@ -17,13 +17,13 @@ from eulersym import (
     contract,
     evaluate,
     format_polynomial,
-    polarize,
     translate,
 )
 from eulersym import sampling
 from eulersym.groebner import leading_monomial, reduce_poly
 from eulersym.poly import GREVLEX, LEX
-from helpers import random_poly, termwise_compose_linear
+from helpers import (convolution_translate, directional_derivative, polarize, random_poly,
+                     termwise_compose_linear)
 
 CTX2 = context("x1", "x2")
 CTX3 = context("x1", "x2", "x3")
@@ -72,6 +72,18 @@ def test_full_contraction_is_evaluation():
         assert contract(p, w, times=d) == Polynomial.constant(CTX3, p(w))
 
 
+def test_contraction_matches_the_directional_derivative_oracle():
+    # one contraction of a degree-k form is D_v / k, for any vector v
+    rng = random.Random(13)
+    for _ in range(25):
+        d = rng.randint(1, 4)
+        p = random_poly(rng, CTX3, d)
+        v = sampling.vector(rng, 3)
+        assert contract(p, v) == directional_derivative(p, v) * Fraction(1, d)
+    with pytest.raises(ContextMismatchError):
+        contract(X1 * X2, (1, 0))
+
+
 def test_polarize_symmetric_and_multilinear():
     p = X1**2 * X2
     u, v, w = (1, 0, 0), (0, 1, 0), (2, 1, 0)
@@ -108,6 +120,32 @@ def test_translate_matches_evaluation():
         a = sampling.vector(rng, 3)
         x = sampling.vector(rng, 3)
         assert translate(p, a)(x) == p([xi + ai for xi, ai in zip(x, a)])
+
+
+TRANSLATION_POINTS = [
+    lambda rng, n: [0] * n,
+    lambda rng, n: [-rng.randint(1, 9) for _ in range(n)],
+    lambda rng, n: [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(n)],
+    lambda rng, n: [rng.choice((-1, 1)) * rng.randrange(10**29, 10**30) for _ in range(n)],
+    lambda rng, n: [Fraction(rng.randrange(10**29, 10**30), rng.randrange(10**29, 10**30))
+                    * rng.choice((0, -1, 1)) for _ in range(n)],
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_translate_matches_the_convolution_oracle(seed):
+    # the power-table expansion against the former per-term binomial convolution
+    rng = random.Random(seed)
+    for n in range(1, 5):
+        ctx = context(*(f"x{i + 1}" for i in range(n)))
+        forms = [random_poly(rng, ctx, rng.randint(0, 4), homogeneous=rng.random() < 0.5)
+                 for _ in range(3)] + [Polynomial.zero(ctx)]
+        for p in forms:
+            for point in TRANSLATION_POINTS:
+                a = point(rng, n)
+                got = translate(p, a)
+                assert got == convolution_translate(p, a)
+                assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 def test_compose_linear_matches_evaluation():

@@ -31,6 +31,12 @@ def test_parse_polynomial_forms():
         Fraction(3, 2) * X1 * X2 - X2 + 1
     assert parse_polynomial("-x1 + x1", CTX).is_zero()
     assert parse_polynomial("2", CTX) == Polynomial.constant(CTX, 2)
+    # a power is one monomial, up to the term-degree cap
+    assert parse_polynomial("x1^0", CTX) == Polynomial.constant(CTX, 1)
+    assert parse_polynomial("x1^64", CTX) == Polynomial.from_monomial(CTX, (64, 0))
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1^65", CTX)
+    assert "term degree 65 exceeds the cap 64" in str(err.value)
 
 
 def test_parse_polynomial_round_trips_format():
