@@ -14,8 +14,11 @@ scaling; both are linear on the ambient coordinates.  The translation is
 for commuting nilpotent N_1..N_n, one per basis vector e_i.  N_i raises
 torus weight by one: it sends block k-1 to block k, and the row of the
 basis form b^k_j holds the echelon coordinates of the partial d_i b^k_j
-in F^(k-1).  Block 0 is F^0 = <1>, so the t and w blocks need no special
-case, and N_v^(r+1) = 0 makes the exponential a finite sum.
+in F^(k-1).  Every SymbolSystem comes out of `validate`, which certified
+that membership, so those coordinates are read off as the coefficients
+of d_i b^k_j at the pivots of F^(k-1), with no reduction.  Block 0 is
+F^0 = <1>, so the t and w blocks need no special case, and
+N_v^(r+1) = 0 makes the exponential a finite sum.
 
 `group_act` evaluates that sum in integers.  Write N_i = M_i / q with q
 the common denominator of all nilpotent entries, v = u / d and z = y / e
@@ -90,11 +93,6 @@ class EulerModel:
     def ambient_dim(self) -> int:
         return self.ambient.n
 
-    def block(self, z: ProjectivePoint | Sequence, k: int) -> tuple[Fraction, ...]:
-        coords = z.coords if isinstance(z, ProjectivePoint) else tuple(z)
-        start, stop = self.block_bounds[k]
-        return coords[start:stop]
-
     def chart_functions(self) -> list[Polynomial]:
         """Affine coordinate functions of the t=1 chart, as polynomials in w."""
         ctx = self.system.context
@@ -104,36 +102,28 @@ class EulerModel:
         return out
 
     @cached_property
-    def nilpotents(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """N_1..N_n, each as one row of (column, entry) pairs per coordinate.
-
-        Built on the first action, so models that never act pay nothing.
-        """
-        mats = []
-        for i in range(self.system.context.n):
-            rows = [()]  # block 0 has weight 0: nothing maps into it
-            for k in range(1, self.rank + 1):
-                lower = self.system.component(k - 1)
-                start = self.block_bounds[k - 1][0]
-                for b in self.system.component(k).basis:
-                    coords = lower.coordinates_of(b.derivative(i))
-                    if coords is None:
-                        raise AssertionError(
-                            "closure violated: contraction left its component")
-                    rows.append(tuple((start + j, c) for j, c in enumerate(coords) if c))
-            mats.append(tuple(rows))
-        return tuple(mats)
-
-    @cached_property
     def integer_nilpotents(self) -> tuple[int, tuple]:
         """(q, M_1..M_n) with N_i = M_i / q and q the common denominator of all entries.
 
-        Each M_i has the row layout of `nilpotents`, with integer entries.
+        Each M_i holds one row of (column, entry) pairs per coordinate.  The
+        row of b^k_j holds q times the coefficients of d_i b^k_j at the pivots
+        of F^(k-1): its echelon coordinates, because `validate` certified that
+        d_i b^k_j lies in F^(k-1) and each echelon row is 1 at its own pivot
+        and 0 at the others.  Built on the first action, so models that never
+        act pay nothing.
         """
-        q = lcm(*(e.denominator for mat in self.nilpotents for row in mat for _, e in row))
+        mats = [[()] for _ in range(self.system.context.n)]  # nothing maps into block 0
+        for k in range(1, self.rank + 1):
+            pivots = self.system.component(k - 1).pivots
+            start = self.block_bounds[k - 1][0]
+            for b in self.system.component(k).basis:
+                for i, rows in enumerate(mats):
+                    d = b.derivative(i).terms
+                    rows.append(tuple((start + j, d[p]) for j, p in enumerate(pivots) if p in d))
+        q = lcm(*(e.denominator for rows in mats for row in rows for _, e in row))
         return q, tuple(
-            tuple(tuple((c, e.numerator * (q // e.denominator)) for c, e in row) for row in mat)
-            for mat in self.nilpotents)
+            tuple(tuple((c, e.numerator * (q // e.denominator)) for c, e in row) for row in rows)
+            for rows in mats)
 
 
 def build_model(system: SymbolSystem) -> EulerModel:

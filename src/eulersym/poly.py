@@ -414,10 +414,6 @@ def compose_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
 # ---------------------------------------------------------------------------
 # printing
 
-def format_scalar(c: Fraction) -> str:
-    return str(c)
-
-
 def _format_bare_monomial(ctx: VarContext, expo: Monomial) -> str:
     parts = []
     for name, e in zip(ctx.names, expo):
@@ -437,11 +433,11 @@ def format_polynomial(p: Polynomial, order: MonomialOrder = GREVLEX) -> str:
         mono = _format_bare_monomial(p.context, expo)
         mag = abs(coeff)
         if not mono:
-            body = format_scalar(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{format_scalar(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         sign = "-" if coeff < 0 else "+"
         chunks.append((sign, body))
     first_sign, first_body = chunks[0]

@@ -28,6 +28,13 @@ from .spaces import FormSpace, kernel_of_map, monomials_of_degree
 
 @dataclass(frozen=True)
 class SymbolSystem:
+    """A certified system: every instance comes out of `validate`.
+
+    Code downstream relies on that: `EulerModel.integer_nilpotents` reads
+    the echelon coordinates of each d_i b^k_j in F^(k-1) off the pivots
+    without re-proving that it lies there.
+    """
+
     context: VarContext
     components: tuple[FormSpace, ...]  # indexed by degree, 0..rank
 

@@ -89,8 +89,9 @@ def sampled_implicitize(model, degree: int, samples: int | None = None,
 def fraction_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectivePoint:
     """Translation action of v in W on an arbitrary ambient point: exp(N_v) z.
 
-    The library's former power series in Fractions, kept as an oracle for
-    the integer Horner form of `group_act`.
+    The library's former power series in Fractions over the independent
+    `contraction_nilpotents`, kept as an oracle for the integer Horner
+    form of `group_act` and its table.
     """
     v = tuple(_as_scalar(c) for c in v)
     if len(v) != model.system.context.n:
@@ -98,7 +99,8 @@ def fraction_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Pr
     out = term = [_as_scalar(c) for c in z]
     if len(out) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
-    nv = [[(c, vi * e) for vi, mat in zip(v, model.nilpotents) if vi for c, e in mat[row]]
+    mats = contraction_nilpotents(model)
+    nv = [[(c, vi * e) for vi, mat in zip(v, mats) if vi for c, e in mat[row]]
           for row in range(model.ambient_dim)]
     for j in range(1, model.rank + 1):
         term = [sum((e * term[c] for c, e in row), Fraction(0)) / j for row in nv]
@@ -122,11 +124,11 @@ def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Proje
     if len(v) != ctx.n:
         raise ValueError(f"translation vector needs {ctx.n} coordinates")
     t = z[0]
-    w = model.block(z, 1)
+    blocks = [z.coords[start:stop] for start, stop in model.block_bounds]
+    w = blocks[1]
     out = [t]
     out.extend(wi + t * vi for wi, vi in zip(w, v))
     for k in range(2, model.rank + 1):
-        fblocks = {l: model.block(z, l) for l in range(2, k + 1)}
         for phi in model.system.component(k).basis:
             # contraction chain: chain[j] = j-fold contraction of phi by v
             chain = [phi]
@@ -139,7 +141,7 @@ def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Proje
                     raise AssertionError(
                         "closure violated: contraction left its component")
                 value += comb(k, l) * sum(
-                    fi * ci for fi, ci in zip(fblocks[l], coords))
+                    fi * ci for fi, ci in zip(blocks[l], coords))
             value += k * evaluate(chain[k - 1], w)
             value += t * chain[k].constant_value()
             out.append(value)
@@ -256,7 +258,7 @@ def contraction_prolong(space: FormSpace) -> FormSpace:
 # reduction that builds a new polynomial per pivot; kept as independent
 # oracles for the d_i-and-pivots rule of `FormSpace.reduce`,
 # `coordinates_of`, `structural_diagnostics`, `from_polynomial` and
-# `EulerModel.nilpotents`
+# `EulerModel.integer_nilpotents`
 
 def loop_reduce(space: FormSpace, p: Polynomial) -> Polynomial:
     """Remainder of p after subtracting its echelon-basis projection."""
@@ -350,6 +352,12 @@ def contraction_nilpotents(model: EulerModel):
                 rows.append(tuple((start + j, k * c) for j, c in enumerate(coords) if c))
         mats.append(tuple(rows))
     return tuple(mats)
+
+
+def fraction_nilpotents(model: EulerModel):
+    """N_i = M_i / q from the model's integer table, laid out as `contraction_nilpotents`."""
+    q, mats = model.integer_nilpotents
+    return tuple(tuple(tuple((c, Fraction(m, q)) for c, m in row) for row in mat) for mat in mats)
 
 
 # ---------------------------------------------------------------------------

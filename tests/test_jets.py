@@ -12,6 +12,7 @@ from eulersym import (
     TruncationError,
     build_model,
     cartan_check,
+    compose_linear,
     context,
     extract_fundamental_forms,
     jet_filtration,
@@ -31,6 +32,20 @@ def _bundled(name):
 def _param(name):
     pf = parse_param_file(bundled_text(name))
     return Parametrization(pf.context, pf.coords, base_point=pf.base_point)
+
+
+MOVES = {"quadric.par": ((2, 1), (1, 3)), "epr.sys": ((1, 2, 0), (0, 1, -1), (2, 0, 1))}
+
+
+def _moved_chart(name):
+    """A bundled chart composed with z -> Az, so its Jacobian is not the identity."""
+    if name.endswith(".sys"):
+        s = _bundled(name)
+        param = Parametrization(s.context, tuple(build_model(s).chart_functions()))
+    else:
+        param = _param(name)
+    return Parametrization(param.context,
+                           tuple(compose_linear(c, MOVES[name]) for c in param.coords))
 
 
 def _cubic():
@@ -79,6 +94,15 @@ def test_immersion_failure_names_the_flat_directions():
     param = Parametrization(ctx, (z1, z1 * z2))
     with pytest.raises(ImmersionError, match=r"flat directions: \(0, 1\)$"):
         jet_filtration(param)  # d(z1*z2) vanishes at 0 along z2
+
+
+def test_immersion_failure_names_every_flat_direction():
+    ctx = context("z1", "z2", "z3")
+    z1, z2, z3 = (Polynomial.variable(ctx, i) for i in range(3))
+    param = Parametrization(ctx, (2 * z1 + 3 * z2 + 5 * z3, 4 * z1 + 6 * z2 + 10 * z3,
+                                  z1 * z2 + z3**2, z1**3))
+    with pytest.raises(ImmersionError, match=r"flat directions: \(-3/2, 1, 0\); \(-5/2, 0, 1\)$"):
+        jet_filtration(param)  # the linear parts have rank 1 at 0
 
 
 def test_too_few_coordinates_cannot_immerse():
@@ -146,9 +170,13 @@ def test_fundamental_forms_carry_their_filtration_dims(name, base):
     ("quadric.par", (10**30 + 1, Fraction(7, 10**30))), ("cubiccurve.par", None),
     ("cubiccurve.par", (2,)), ("cubiccurve.par", (Fraction(-3, 7),)),
     ("cubiccurve.par", (Fraction(10**30 + 1, 3),)),
+    ("quadric.par under A", (0, 0)), ("quadric.par under A", (2, -1)),
+    ("quadric.par under A", (Fraction(-1, 2), 3)), ("epr.sys under A", (0, 0, 0)),
+    ("epr.sys under A", (1, 2, 3)), ("epr.sys under A", (Fraction(1, 3), -2, Fraction(5, 7))),
 ])
 def test_jet_filtration_matches_the_dense_oracle(name, base):
-    param = _param(name)
+    chart, moved, _ = name.partition(" under A")
+    param = _moved_chart(chart) if moved else _param(name)
     filt = jet_filtration(param, base)
     at = filt.base_point
     assert list(filt.rows) == dense_jet_filtration(param, at)

@@ -8,6 +8,7 @@ import pytest
 
 from eulersym import (
     ContextMismatchError,
+    FormSpace,
     Polynomial,
     ProjectivePoint,
     assemble,
@@ -29,8 +30,8 @@ from eulersym.model import random_ambient_point
 
 from eulersym.spaces import rref
 from helpers import (chain_group_act, contraction_nilpotents, fraction_group_act,
-                     power_pullback, random_image_point, random_poly, recover_symbols,
-                     sampled_implicitize)
+                     fraction_nilpotents, power_pullback, random_image_point, random_poly,
+                     recover_symbols, sampled_implicitize)
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -95,10 +96,11 @@ def test_phi_eval_blocks_are_scaled_contractions():
     model = build_model(_bundled("epr.sys"))
     z = phi_eval(model, 2, (3, 5, 7))
     # z0 = t^3, first block t^2 * w, u2 block t * b2(w), u3 block b3(w)
-    assert model.block(z, 0) == (Fraction(1),)
-    assert model.block(z, 1) == (Fraction(12, 8), Fraction(20, 8), Fraction(28, 8))
-    assert model.block(z, 2) == (Fraction(18, 8), Fraction(30, 8), Fraction(42, 8))
-    assert model.block(z, 3) == (Fraction(27, 8),)
+    assert [z.coords[start:stop] for start, stop in model.block_bounds] == [
+        (Fraction(1),),
+        (Fraction(12, 8), Fraction(20, 8), Fraction(28, 8)),
+        (Fraction(18, 8), Fraction(30, 8), Fraction(42, 8)),
+        (Fraction(27, 8),)]
 
 
 def test_phi_eval_rejects_the_indeterminacy_point():
@@ -193,7 +195,26 @@ NILPOTENT_CASES = ([(name, frame) for name in BUNDLED
 def test_nilpotents_match_the_contraction_oracle(name, frame):
     # the row of b^k_j: coordinates of d_i b^k_j against those of k * iota_{e_i} b^k_j
     model = build_model(_system(name, frame))
-    assert model.nilpotents == contraction_nilpotents(model)
+    assert fraction_nilpotents(model) == contraction_nilpotents(model)
+
+
+def test_acting_does_not_reprove_closure(monkeypatch):
+    # validation certified every d_i b^k_j in F^(k-1); the model reads the
+    # echelon coordinates off the pivots instead of reducing again
+    systems = [_bundled("epr.sys"), full_system(2, 3)]
+    calls = []
+    reduce = FormSpace.reduce
+
+    def counted(self, p):  # `contains` and `coordinates_of` go through it too
+        calls.append(p)
+        return reduce(self, p)
+
+    monkeypatch.setattr(FormSpace, "reduce", counted)
+    for system in systems:
+        model = build_model(system)
+        n = system.context.n
+        group_act(model, (1,) * n, phi_eval(model, 1, (2,) * n))
+    assert calls == []
 
 
 def _dense(model, mat):
@@ -215,12 +236,13 @@ def test_nilpotents_commute_and_raise_weight(name):
     model = build_model(_system(name))
     weight = [k for k, (start, stop) in enumerate(model.block_bounds)
               for _ in range(start, stop)]
-    mats = [_dense(model, mat) for mat in model.nilpotents]
+    nilpotents = fraction_nilpotents(model)
+    mats = [_dense(model, mat) for mat in nilpotents]
     assert len(mats) == model.system.context.n
     for a in mats:
         for b in mats:
             assert _matmul(a, b) == _matmul(b, a)
-    for mat in model.nilpotents:
+    for mat in nilpotents:
         assert len(mat) == model.ambient_dim
         for row, entries in enumerate(mat):
             assert all(weight[col] == weight[row] - 1 for col, _ in entries)
