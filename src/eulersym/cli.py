@@ -10,6 +10,10 @@ saturation predicate), 2 unusable input or bad invocation.
 `main` loads and validates the input into a fresh report, runs the
 subcommand's `cmd_*` function, which only adds entries, then renders the
 report and sets the exit code; an invalid system skips the command.
+It parses with one argparse tree per process, built on the first call.
+The tree holds the names of each subcommand's loader and handler, never
+the functions: `main` looks them up in this module on every call, so a
+handler rebound here later (as a tracer does) is the one that runs.
 
 Inputs are looked up on disk first, then among the bundled examples
 (`eulersym examples` lists them), so `eulersym order epr.sys` works
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -379,8 +384,8 @@ def cmd_ff(args, report: Report, param: Parametrization):
     if args.degree is not None:
         param = dataclasses.replace(param, truncation_degree=args.degree)
     base = None
-    if args.at:
-        n, given = param.context.n, len(args.at.split(","))
+    if args.at is not None:
+        n, given = param.context.n, len(args.at.split(",")) if args.at else 0
         if given != n:
             raise ParseError(f"--at needs {n} coordinates, got {given}", 1, 1)
         # the grammar of a .par `at:` line, with its caps
@@ -499,10 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the report as JSON")
 
     def add(name, handler, help_text, chart=False, trials=None, seed=False):
-        """A subcommand that loads one input file, `main` runs `handler` on."""
+        """A subcommand that loads one input file; `main` runs the function
+        named `handler` on it."""
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.set_defaults(handler=handler,
-                       load=_load_parametrization if chart else _load_system)
+                       load="_load_parametrization" if chart else "_load_system")
         if chart:
             p.add_argument("file", help="a parametrization file, or a system file "
                                         "with --chart")
@@ -517,58 +523,62 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         return p
 
-    add("validate", cmd_validate, "check the axioms on a system file")
+    add("validate", "cmd_validate", "check the axioms on a system file")
 
-    p = add("prolong", cmd_prolong, "prolongation spaces of the components")
+    p = add("prolong", "cmd_prolong", "prolongation spaces of the components")
     p.add_argument("--degree", type=_count(1), default=None,
                    help="single degree instead of the full range")
 
-    add("order", cmd_order, "largest degree whose base locus is empty")
-    add("baselocus", cmd_baselocus, "saturated ideal of the first nonempty base locus")
+    add("order", "cmd_order", "largest degree whose base locus is empty")
+    add("baselocus", "cmd_baselocus", "saturated ideal of the first nonempty base locus")
 
-    p = add("saturated", cmd_saturated,
+    p = add("saturated", "cmd_saturated",
             "saturation predicate for order-1 systems (FALSE exits 1)")
     p.add_argument("--points", default=None,
                    help="file of rational points for an independent "
                         "cross-check of the degree-2 slice")
 
-    add("model", cmd_model, "ambient coordinates and block layout")
-    add("act-check", cmd_act_check,
+    add("model", "cmd_model", "ambient coordinates and block layout")
+    add("act-check", "cmd_act_check",
         "verify the translation and torus actions on random input", trials=20, seed=True)
-    add("curve-degrees", cmd_curve_degrees,
+    add("curve-degrees", "cmd_curve_degrees",
         "orbit-curve degrees along sampled directions", trials=40, seed=True)
 
-    p = add("implicitize", cmd_implicitize,
+    p = add("implicitize", "cmd_implicitize",
             "forms of a given degree vanishing on the model")
     p.add_argument("--degree", type=_count(0), required=True)
 
-    p = add("ff", cmd_ff, "jet filtration and fundamental forms at a point", chart=True)
+    p = add("ff", "cmd_ff", "jet filtration and fundamental forms at a point", chart=True)
     p.add_argument("--at", default=None,
                    help="base point as comma-separated rationals")
     p.add_argument("--degree", type=_count(1), default=None,
                    help="truncation degree for the jet expansion")
 
-    add("cartan", cmd_cartan, "test the closure axiom at random base points",
+    add("cartan", "cmd_cartan", "test the closure axiom at random base points",
         chart=True, trials=5, seed=True)
-    add("report", cmd_report, "consolidated battery on a system file", seed=True)
+    add("report", "cmd_report", "consolidated battery on a system file", seed=True)
 
     p = sub.add_parser("examples", help="list or print the bundled inputs",
                        parents=[common])
-    p.set_defaults(handler=cmd_examples, load=None)
+    p.set_defaults(handler="cmd_examples", load=None)
     p.add_argument("name", nargs="?", default=None)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()[args.handler]
     try:
         if args.load is None:
-            return args.handler(args)
+            return handler(args)
         report = Report(args.command, seed=getattr(args, "seed", None))
-        subject = args.load(args, report)
+        subject = globals()[args.load](args, report)
         if subject is not None:
-            args.handler(args, report, subject)
+            handler(args, report, subject)
         print(report.render(args.json))
         return 1 if report.failed else 0
     except (ParseError, OSError, DegreeCapExceeded, AlgebraError, Unusable) as exc:

@@ -1,12 +1,14 @@
 """Jet filtrations of affine parametrizations and the graded systems they carry.
 
 Given coordinate functions c_1..c_M in parameters z_1..z_n, the span of
-{1, c_1, ..., c_M} is filtered by vanishing order at a base point: move
-the point to the origin exactly, re-coordinate so the first n functions
-have the standard linear parts, then row-reduce the coefficient matrix
-with columns grouped by increasing degree.  Each reduced row vanishes to
-the exact order of its pivot column, and the degree-k leading terms of
-the order-k rows span the degree-k graded piece.
+{1, c_1, ..., c_M} is filtered by vanishing order at a base point a.
+With J the Jacobian of c_1..c_n at a, read off their derivatives, one
+affine substitution z -> J^(-1) z + a moves the point to the origin and
+gives the first n functions the standard linear parts, exactly; then the
+coefficient matrix is row-reduced with columns grouped by increasing
+degree.  Each reduced row vanishes to the exact order of its pivot
+column, and the degree-k leading terms of the order-k rows span the
+degree-k graded piece.
 
 At a general base point those pieces form a symbol system; this module
 reports the closure diagnostics rather than assuming them.
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from . import sampling
 from .errors import AlgebraError, ContextMismatchError, ImmersionError, TruncationError
-from .poly import Polynomial, VarContext, compose_linear, translate
+from .poly import Polynomial, VarContext, evaluate, substitute
 from .spaces import FormSpace, echelon, monomials_of_degree, nullspace, reduced_row, rref
 from .systems import structural_diagnostics
 
@@ -86,21 +88,27 @@ def jet_filtration(param: Parametrization,
     base = tuple(Fraction(c) for c in base)
     if len(base) != n:
         raise ValueError("base point length does not match the parameter count")
-    shifted = [translate(c, base) for c in param.coords]
-
-    if len(shifted) < n:
+    if len(param.coords) < n:
         raise ImmersionError(
             f"need at least {n} coordinate functions to chart {n} parameters")
-    unit_exponents = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    lin = [[shifted[i].coefficient(e) for e in unit_exponents] for i in range(n)]
-    inv = _invert([list(row) for row in lin])
+    lin = [[evaluate(c.derivative(j), base) for j in range(n)] for c in param.coords[:n]]
+    inv = _invert(lin)
     if inv is None:
-        kernel = nullspace([list(row) for row in lin], n)
+        kernel = nullspace(lin, n)
         directions = "; ".join("(" + ", ".join(str(c) for c in v) + ")" for v in kernel)
         raise ImmersionError(
             "the first coordinate functions are degenerate at this base point; "
             f"flat directions: {directions}")
-    changed = [compose_linear(c, inv) for c in shifted]
+    # z_i -> sum_j inv[i][j] z_j + a_i: the base point moves to the origin
+    # and the first n functions get the standard linear parts, in one pass
+    one = (0,) * n
+    images = []
+    for row, a in zip(inv, base):
+        image = {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c}
+        if a:
+            image[one] = a
+        images.append(image)
+    changed = [substitute(c, ctx, images) for c in param.coords]
 
     rows_polys = [Polynomial.constant(ctx, 1)] + changed
     max_deg = max(p.degree() or 0 for p in rows_polys)

@@ -31,6 +31,20 @@ coefficient.  The left side is a nonzero multiple of exp(N_v) z, and a
 ProjectivePoint is scaled so its first nonzero coordinate is 1, so the
 integer vector is the same projective point, exactly.
 
+`phi_eval`, `orbit_curve_degree` and `euler_act` run in integers the
+same way.  Write t = s / e and w = u / d with u integral, and let Q be
+the common denominator of the coefficients of all b^k_i, so Q b^k_i(u)
+is an integer (`EulerModel.integer_forms`).  Block k of phi is
+t^(r-k) b^k(w) with b^k homogeneous of degree k, so
+
+    Q e^r d^r phi(t, w) has block k = Q e^k (sd)^(r-k) b^k(u),
+
+with b^0 = 1 and b^1(u) = u, a nonzero multiple of phi(t, w).  For the
+same reason b^k(w) != 0 exactly when Q b^k(u) != 0, which is all the
+orbit degree reads.  The torus element lambda = a / c scales block k by
+lambda^k, so c^r lambda scales block k of a cleared point y = e z by
+a^k c^(r-k).
+
 The torus acts with weight k on block k, so the ideal of the model is
 graded by torus weight: `implicitize` finds its degree-d piece as one
 exact sparse kernel, which splits by weight on its own, with no sampling.
@@ -42,12 +56,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from . import sampling
 from .errors import ContextMismatchError
-from .poly import Polynomial, VarContext, _as_scalar, evaluate, substitute
+from .poly import Polynomial, VarContext, _as_scalar, substitute
 from .spaces import FormSpace, kernel_of_map, monomials_of_degree
 from .systems import SymbolSystem
 
@@ -125,6 +139,35 @@ class EulerModel:
             tuple(tuple((c, e.numerator * (q // e.denominator)) for c, e in row) for row in rows)
             for rows in mats)
 
+    @cached_property
+    def integer_forms(self) -> tuple[int, tuple]:
+        """(Q, B_2..B_r): the echelon basis of each F^k times Q, in integers.
+
+        Q is the common denominator of the coefficients of every basis form
+        of degree 2..r, and B_k holds one tuple of (exponent, integer
+        coefficient) terms per form b^k_i.  Read off the system alone, not
+        `integer_nilpotents`, so the translation and the map it is checked
+        against do not share a table.
+        """
+        bases = [self.system.component(k).basis for k in range(2, self.rank + 1)]
+        q = lcm(*(c.denominator for basis in bases for b in basis for c in b.terms.values()))
+        return q, tuple(
+            tuple(tuple((e, c.numerator * (q // c.denominator)) for e, c in b.terms.items())
+                  for b in basis)
+            for basis in bases)
+
+
+def _cleared(vals: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, u) with vals = u / d, d the least common denominator."""
+    d = lcm(*(c.denominator for c in vals))
+    return d, [c.numerator * (d // c.denominator) for c in vals]
+
+
+def _integer_values(forms, u: Sequence[int]):
+    """Each integer form of `integer_forms` at the integer point u."""
+    return (sum(c * prod(x**e for x, e in zip(u, expo) if e) for expo, c in form)
+            for form in forms)
+
 
 def build_model(system: SymbolSystem) -> EulerModel:
     n = system.context.n
@@ -140,34 +183,45 @@ def build_model(system: SymbolSystem) -> EulerModel:
 
 
 def phi_eval(model: EulerModel, t, w: Sequence) -> ProjectivePoint:
-    """Value of the defining map at [t : w]."""
+    """Value of the defining map at [t : w], computed in integers as the
+    module docstring describes."""
     t = _as_scalar(t)
     w = tuple(_as_scalar(c) for c in w)
     if len(w) != model.system.context.n:
         raise ValueError(f"chart point needs {model.system.context.n} coordinates")
     r = model.rank
-    coords = [t**r]
-    coords.extend(t ** (r - 1) * wi for wi in w)
-    for k in range(2, r + 1):
-        scale = t ** (r - k)
-        coords.extend(scale * evaluate(b, w) for b in model.system.component(k).basis)
+    q, blocks = model.integer_forms
+    e = t.denominator
+    d, u = _cleared(w)
+    sd = t.numerator * d
+    values = [(q,), [q * ui for ui in u]]  # Q b^k(u) for b^0 = 1 and b^1(u) = u
+    values.extend(_integer_values(forms, u) for forms in blocks)
+    coords = []
+    for k, block in enumerate(values):
+        scale = e**k * sd ** (r - k)
+        coords.extend(scale * value for value in block)
     if not any(coords):
         raise ValueError("the defining map is undefined here (indeterminacy point)")
     return ProjectivePoint(coords)
 
 
 def euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
-    """Torus action: weight 0 on the t block, weight k on the degree-k block."""
+    """Torus action: weight 0 on the t block, weight k on the degree-k block.
+
+    Computed in integers: lambda = a / c scales block k of the cleared
+    point by a^k c^(r-k) (module docstring).
+    """
     lam = _as_scalar(lam)
     if not lam:
         raise ValueError("torus elements are nonzero scalars")
-    out = list(z.coords)
-    if len(out) != model.ambient_dim:
+    if len(z.coords) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
-    for k in range(1, model.rank + 1):
-        start, stop = model.block_bounds[k]
-        for i in range(start, stop):
-            out[i] *= lam**k
+    a, c = lam.numerator, lam.denominator
+    _, y = _cleared(z.coords)
+    out = []
+    for k, (start, stop) in enumerate(model.block_bounds):
+        scale = a**k * c ** (model.rank - k)
+        out.extend(scale * yi for yi in y[start:stop])
     return ProjectivePoint(out)
 
 
@@ -183,10 +237,8 @@ def group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectiveP
     z = [_as_scalar(c) for c in z]
     if len(z) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
-    d = lcm(*(c.denominator for c in v))
-    e = lcm(*(c.denominator for c in z))
-    u = [c.numerator * (d // c.denominator) for c in v]
-    y = [c.numerator * (e // c.denominator) for c in z]
+    d, u = _cleared(v)
+    _, y = _cleared(z)
     q, mats = model.integer_nilpotents
     mu = []  # M_u, one sparse row per coordinate with equal columns combined
     for row in range(model.ambient_dim):
@@ -214,8 +266,10 @@ def orbit_curve_degree(model: EulerModel, w: Sequence) -> int:
         raise ValueError(f"orbit direction needs {model.system.context.n} coordinates")
     if not any(w):
         raise ValueError("orbit direction must be a nonzero vector")
+    _, u = _cleared(w)  # b^k(w) != 0 exactly when Q b^k(u) != 0
+    _, blocks = model.integer_forms
     for k in range(model.rank, 1, -1):
-        if any(evaluate(b, w) for b in model.system.component(k).basis):
+        if any(_integer_values(blocks[k - 2], u)):
             return k
     return 1
 

@@ -148,6 +148,60 @@ def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Proje
     return ProjectivePoint(out)
 
 
+# ---------------------------------------------------------------------------
+# the library's former map, torus action and orbit degree in Fractions, kept
+# as independent oracles for the integer forms of phi_eval, euler_act and
+# orbit_curve_degree
+
+def fraction_phi_eval(model: EulerModel, t, w: Sequence) -> ProjectivePoint:
+    """Value of the defining map at [t : w]."""
+    t = _as_scalar(t)
+    w = tuple(_as_scalar(c) for c in w)
+    if len(w) != model.system.context.n:
+        raise ValueError(f"chart point needs {model.system.context.n} coordinates")
+    r = model.rank
+    coords = [t**r]
+    coords.extend(t ** (r - 1) * wi for wi in w)
+    for k in range(2, r + 1):
+        scale = t ** (r - k)
+        coords.extend(scale * evaluate(b, w) for b in model.system.component(k).basis)
+    if not any(coords):
+        raise ValueError("the defining map is undefined here (indeterminacy point)")
+    return ProjectivePoint(coords)
+
+
+def fraction_euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
+    """Torus action: weight 0 on the t block, weight k on the degree-k block."""
+    lam = _as_scalar(lam)
+    if not lam:
+        raise ValueError("torus elements are nonzero scalars")
+    out = list(z.coords)
+    if len(out) != model.ambient_dim:
+        raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
+    for k in range(1, model.rank + 1):
+        start, stop = model.block_bounds[k]
+        for i in range(start, stop):
+            out[i] *= lam**k
+    return ProjectivePoint(out)
+
+
+def fraction_orbit_curve_degree(model: EulerModel, w: Sequence) -> int:
+    """Degree of the closed-up torus orbit through the translation of o by w.
+
+    Equals the largest k whose dual block (b^k_i(w)) is nonzero; the
+    curve is [1 : s*w : s^2 iota_w^2 : ... ] in the blocked coordinates.
+    """
+    w = tuple(_as_scalar(c) for c in w)
+    if len(w) != model.system.context.n:
+        raise ValueError(f"orbit direction needs {model.system.context.n} coordinates")
+    if not any(w):
+        raise ValueError("orbit direction must be a nonzero vector")
+    for k in range(model.rank, 1, -1):
+        if any(evaluate(b, w) for b in model.system.component(k).basis):
+            return k
+    return 1
+
+
 def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Exact reduced row echelon form; returns (rows, pivot column indices).
 

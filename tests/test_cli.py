@@ -178,6 +178,7 @@ def test_prolong_degree_above_rank_exits_2(capsys):
     ("1/0", "line 1, col 3: zero denominator"),
     ("-" + "3" * 5000, "line 1, col 1: digit count 5000 exceeds the cap 1000"),
     ("1,2", "line 1, col 1: --at needs 1 coordinates, got 2"),
+    ("", "line 1, col 1: --at needs 1 coordinates, got 0"),
 ])
 def test_bad_at_exits_2(capsys, at, message):
     # --at follows the grammar of a .par `at:` line, caps included
@@ -187,6 +188,13 @@ def test_bad_at_exits_2(capsys, at, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_empty_at_is_not_the_default_base_point(capsys):
+    for argv in (["--at="], ["--at", ""]):
+        code, out, err = run(capsys, "ff", "quadric.par", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, col 1: --at needs 2 coordinates, got 0\n"
 
 
 def test_implicitize_degree_cap_exits_2(capsys):
@@ -275,6 +283,17 @@ def test_ff_degenerate_chart_names_its_flat_direction(tmp_path, capsys):
     assert ("[fail] extraction: the first coordinate functions are degenerate at this "
             "base point; flat directions: (0, 1)\n") in out
     assert "Fraction" not in out and err == ""
+
+
+def test_ff_degenerate_chart_at_a_nonzero_base(tmp_path, capsys):
+    # the Jacobian at (1, 5) is [[0, 0], [3, 1]], read from the derivatives there
+    degen = tmp_path / "degen.par"
+    degen.write_text("vars: z1 z2\ncoords: z1^2 - 2*z1, z2 + z1^3, z1*z2\n")
+    code, out, err = run(capsys, "ff", str(degen), "--at=1,5")
+    assert code == 1
+    assert ("[fail] extraction: the first coordinate functions are degenerate at this "
+            "base point; flat directions: (-1/3, 1)\n") in out
+    assert err == ""
 
 
 def test_ff_chart(capsys):
@@ -398,15 +417,46 @@ def test_trials_defaults(command, trials):
 def test_main_runs_the_handler_bound_in_the_module(monkeypatch, capsys):
     # perfbench's tracer wraps cli.cmd_* in the module namespace; main must
     # look each handler up there when it runs, not hold an earlier reference
+    # (after the first traced pass, so against an already built parser)
     seen = []
 
     def fake(args, report, system):
         seen.append(system.rank)
         report.add("info", "patched", "yes")
 
+    assert run(capsys, "order", "rnc.sys")[0] == 0
     monkeypatch.setattr(eulersym.cli, "cmd_order", fake)
     code, out, _ = run(capsys, "order", "rnc.sys")
     assert code == 0
     assert seen == [3]
     assert "[info] patched: yes" in out
     assert "base-locus" not in out
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    calls = [("prolong", "epr.sys", "--degree", "0"),  # argparse rejects it: exit 2
+             ("order", "quadric.sys", "--json"),
+             ("act-check", "triple.sys", "--seed", "7", "--trials", "2"),
+             ("ff", "cubiccurve.par", "--at=2"),
+             ("validate", "rnc.sys")]
+    lone = []
+    for argv in calls:
+        eulersym.cli._parser.cache_clear()
+        lone.append(run(capsys, *argv))
+    assert [code for code, _, _ in lone] == [2, 0, 0, 0, 0]
+    assert run(capsys, "model", "epr.sys")[0] == 0  # warm
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    for _ in range(2):
+        for argv, expected in zip(calls, lone):
+            assert run(capsys, *argv) == expected
+    assert built == []
+    eulersym.cli._parser.cache_clear()
+    assert run(capsys, *calls[-1]) == lone[-1]
+    assert built == ["eulersym"]

@@ -1,6 +1,7 @@
 """Jet filtration, fundamental forms, and the general-point check."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from eulersym import (
     extract_fundamental_forms,
     jet_filtration,
     system_from_file,
+    translate,
 )
+from eulersym import sampling
 from eulersym.cli import bundled_text
+from eulersym.spaces import nullspace
 from eulersym.specfiles import parse_param_file
-from helpers import dense_jet_filtration
+from helpers import dense_jet_filtration, random_poly
 
 BUNDLED_SYS = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -180,3 +184,29 @@ def test_jet_filtration_matches_the_dense_oracle(name, base):
     filt = jet_filtration(param, base)
     at = filt.base_point
     assert list(filt.rows) == dense_jet_filtration(param, at)
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_jet_filtration_matches_the_dense_oracle_at_seeded_points(seed):
+    # random coordinates at random base points; every third draw is made
+    # degenerate there, and must name the kernel of the translated linear parts
+    rng = random.Random(seed)
+    n = 1 + seed % 3
+    ctx = context(*(f"z{i + 1}" for i in range(n)))
+    coords = [random_poly(rng, ctx, rng.randint(1, 3), homogeneous=False)
+              for _ in range(n + rng.randint(0, 2))]
+    base = sampling.vector(rng, n) if seed % 2 else sampling.generic_vector(rng, n)
+    if seed % 3 == 0:
+        square = (Polynomial.variable(ctx, 0) - base[0]) ** 2
+        coords[n - 1] = square + (2 * coords[0] if n > 1 else 1)
+    param = Parametrization(ctx, tuple(coords))
+    shifted = [translate(c, base) for c in coords[:n]]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    kernel = nullspace([[c.coefficient(e) for e in units] for c in shifted], n)
+    if kernel:
+        directions = "; ".join("(" + ", ".join(str(c) for c in v) + ")" for v in kernel)
+        with pytest.raises(ImmersionError) as exc:
+            jet_filtration(param, base)
+        assert str(exc.value).endswith(f"flat directions: {directions}")
+    else:
+        assert list(jet_filtration(param, base).rows) == dense_jet_filtration(param, base)

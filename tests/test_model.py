@@ -29,9 +29,10 @@ from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point
 
 from eulersym.spaces import rref
-from helpers import (chain_group_act, contraction_nilpotents, fraction_group_act,
-                     fraction_nilpotents, power_pullback, random_image_point, random_poly,
-                     recover_symbols, sampled_implicitize)
+from helpers import (chain_group_act, contraction_nilpotents, fraction_euler_act,
+                     fraction_group_act, fraction_nilpotents, fraction_orbit_curve_degree,
+                     fraction_phi_eval, power_pullback, random_image_point, random_poly,
+                     recover_symbols, sampled_implicitize, segre_dense)
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -105,8 +106,11 @@ def test_phi_eval_blocks_are_scaled_contractions():
 
 def test_phi_eval_rejects_the_indeterminacy_point():
     model = build_model(_bundled("epr.sys"))
-    with pytest.raises(ValueError):
-        phi_eval(model, 0, (0, 0, 0))
+    # at t = 0 only the top block b^3 = x1^3 survives, so w = (0, 1, 5) is one too
+    for w in ((0, 0, 0), (0, 1, 5)):
+        with pytest.raises(ValueError, match=r"^the defining map is undefined here "
+                                             r"\(indeterminacy point\)$"):
+            phi_eval(model, 0, w)
 
 
 def test_group_law_and_equivariance():
@@ -127,7 +131,9 @@ def test_group_law_and_equivariance():
 
 
 def _system(name, frame="shipped"):
-    if name.startswith("full"):
+    if name.startswith("segre"):  # x1*...*xn in its own seeded dense frame
+        system = segre_dense(*map(int, name.split("_")[1:]))
+    elif name.startswith("full"):
         system = full_system(*map(int, name.split("_")[1:]))
     else:
         system = _bundled(name)
@@ -184,6 +190,68 @@ def test_group_act_edge_cases(name, frame):
     for vv, zz in ((v, z), (sampling.vector(rng, n), w), (v, w)):
         got = group_act(model, vv, zz)
         assert got == fraction_group_act(model, vv, zz) == chain_group_act(model, vv, zz)
+
+
+# the action cases, and Segre models whose forms have a common denominator Q > 1
+POINT_CASES = ACTION_CASES + [(f"segre_{n}_{seed}", "shipped")
+                              for n, seed in ((3, 1), (4, 0), (4, 3))]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _point_inputs(rng, n):
+    """Chart values t, directions w and torus elements for the point oracles."""
+    huge = 10**29 + 7  # 30-digit numerators and denominators
+    ts = [0, 1, Fraction(-3, 7), -2, Fraction(rng.randint(-huge, huge), huge - 4),
+          sampling.nonzero_rational(rng)]
+    zeroed = list(sampling.generic_vector(rng, n))
+    zeroed[rng.randrange(n)] = 0
+    ws = [[0] * n, zeroed, sampling.vector(rng, n), sampling.sparse_direction(rng, n),
+          [Fraction(rng.randint(-huge, huge), huge + 3 * i) for i in range(n)]]
+    ws += [[int(i == j) for j in range(n)] for i in range(n)]
+    lams = [-1, Fraction(-5, 3), huge, -Fraction(huge, 7), Fraction(1, huge),
+            sampling.nonzero_rational(rng)]
+    return ts, ws, lams
+
+
+@pytest.mark.parametrize("name,frame", POINT_CASES)
+def test_integer_points_match_the_fraction_oracles(name, frame):
+    model = build_model(_system(name, frame))
+    n = model.system.context.n
+    rng = random.Random("points" + name + frame)
+    ts, ws, lams = _point_inputs(rng, n)
+    points = [random_ambient_point(model, rng), ProjectivePoint(
+        [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+         for _ in range(model.ambient_dim)])]
+    for w in ws:
+        assert _outcome(orbit_curve_degree, model, w) == \
+            _outcome(fraction_orbit_curve_degree, model, w)
+        for t in ts:
+            got = _outcome(phi_eval, model, t, w)
+            assert got == _outcome(fraction_phi_eval, model, t, w)
+            if isinstance(got, ProjectivePoint):
+                points.append(got)
+    for z in points:
+        for lam in lams + [0]:
+            assert _outcome(euler_act, model, lam, z) == \
+                _outcome(fraction_euler_act, model, lam, z)
+
+
+def test_point_cases_cover_fractional_forms_and_undefined_points():
+    # Q > 1 somewhere, and t = 0 meets the indeterminacy locus somewhere
+    assert build_model(_system("epr.sys", "dense")).integer_forms[0] == 8
+    assert build_model(_system("segre_4_0")).integer_forms[0] == 924
+    assert all(build_model(_system(name)).integer_forms[0] == 1 for name in BUNDLED)
+    model = build_model(_bundled("epr.sys"))
+    ts, ws, _ = _point_inputs(random.Random(0), 3)
+    assert ("ValueError", "the defining map is undefined here (indeterminacy point)") in [
+        _outcome(phi_eval, model, t, w) for t in ts for w in ws if any(w)]
 
 
 NILPOTENT_CASES = ([(name, frame) for name in BUNDLED
