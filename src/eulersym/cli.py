@@ -225,7 +225,7 @@ def cmd_baselocus(args, report: Report, system: SymbolSystem):
         report.add("info", "base-ideal",
                    f"F{m + 1} is zero, so the base locus is all of projective space")
         return
-    gb = saturate_ideal(list(system.component(m + 1).basis))
+    gb = saturate_ideal(system.ideal(m + 1))
     report.add("info", "base-ideal",
                "saturated ideal of F%d = (%s)" % (
                    m + 1, ", ".join(format_polynomial(g) for g in gb.polys)))

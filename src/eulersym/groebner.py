@@ -202,7 +202,7 @@ def _in_monomial_saturation(u: Monomial, lms: Sequence[Monomial]) -> bool:
                for i in range(len(u)))
 
 
-def saturate_ideal(gens: Sequence[Polynomial],
+def saturate_ideal(gens: Sequence[Polynomial] | GroebnerBasis,
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
     """Saturation of a homogeneous ideal by the irrelevant ideal m = (x1..xn).
 
@@ -214,11 +214,13 @@ def saturate_ideal(gens: Sequence[Polynomial],
     share a Hilbert function), iff M' lies in M : m^inf, a finite test on
     exponents.  Only finitely many l_j lie in the span of an associated
     prime, so the loop ends.  One Buchberger run per l_j and one for the
-    reduced basis (of gens when J = I); the former test against all n colons
-    I : x_i^inf ran these and more, so the degree cap fires only where it
-    fired before.
+    reduced basis of J, none when J = I and `gens` is its grevlex GroebnerBasis
+    already; the former test against all n colons I : x_i^inf ran these and
+    more, so the degree cap fires only where it fired before.
     """
-    gens = [g for g in gens if not g.is_zero()]
+    done = gens if isinstance(gens, GroebnerBasis) and gens.order is GREVLEX else None
+    polys = gens.polys if isinstance(gens, GroebnerBasis) else gens
+    gens = [g for g in polys if not g.is_zero()]
     if not gens:
         raise ValueError("saturation of the zero ideal is not meaningful here")
     ctx = gens[0].context
@@ -235,7 +237,7 @@ def saturate_ideal(gens: Sequence[Polynomial],
         G = buchberger([compose_linear(g, A) for g in gens], GREVLEX, degree_cap)
         lms = [leading_monomial(g, GREVLEX) for g in G]
         if not any(m[-1] for m in lms):
-            return GroebnerBasis(ctx, GREVLEX, buchberger(gens, GREVLEX, degree_cap))
+            return done or GroebnerBasis(ctx, GREVLEX, buchberger(gens, GREVLEX, degree_cap))
         if all(_in_monomial_saturation(m[:-1] + (0,), lms) for m in lms if m[-1]):
             # grevlex: y_n has its least exponent in a homogeneous g's leading term
             J = [compose_linear(Polynomial._trusted(ctx, {e[:-1] + (e[-1] - m[-1],): c
@@ -244,31 +246,23 @@ def saturate_ideal(gens: Sequence[Polynomial],
             return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX, degree_cap))
 
 
-def is_zero_dimensional(space: FormSpace,
+def is_zero_dimensional(ideal: FormSpace | GroebnerBasis,
                         degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """Whether the forms in `space` cut out the empty set in PW.
+    """Whether the forms in a space, or a Groebner basis, cut out the empty set in PW.
 
-    Structure test on the reduced grevlex basis: the irrelevant ideal is
-    contained in the radical exactly when every variable shows up as a
-    pure power among the leading monomials.
+    A space is completed in grevlex first.  Structure test on the reduced
+    basis: the irrelevant ideal is contained in the radical exactly when
+    every variable shows up as a pure power (or 1) among the leading monomials.
     """
-    if space.is_zero():
-        return False
-    G = buchberger(list(space.basis), GREVLEX, degree_cap)
-    if len(G) == 1 and G[0].degree() == 0:
-        return True
-    lms = [leading_monomial(g, GREVLEX) for g in G]
-    for i in range(space.context.n):
-        if not any(m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i) for m in lms):
-            return False
-    return True
+    if isinstance(ideal, FormSpace):
+        ideal = GroebnerBasis.of(list(ideal.basis), ideal.context, GREVLEX, degree_cap)
+    lms = [leading_monomial(g, ideal.order) for g in ideal.polys]
+    return bool(lms) and all(any(sum(m) == m[i] for m in lms) for i in range(ideal.context.n))
 
 
 def graded_component(gb: GroebnerBasis, degree: int) -> FormSpace:
     """Degree-d slice of a homogeneous ideal, as a FormSpace."""
     ctx = gb.context
-    if gb.is_zero_ideal():
-        return FormSpace.zero(ctx, degree)
     if gb.is_unit_ideal():
         return FormSpace.full(ctx, degree)
     polys = []

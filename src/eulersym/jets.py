@@ -24,7 +24,7 @@ from typing import Sequence
 from . import sampling
 from .errors import AlgebraError, ContextMismatchError, ImmersionError, TruncationError
 from .poly import Polynomial, VarContext, evaluate, substitute
-from .spaces import FormSpace, echelon, monomials_of_degree, nullspace, reduced_row, rref
+from .spaces import FormSpace, echelon, monomials_of_degree, nullspace, rref
 from .systems import structural_diagnostics
 
 
@@ -118,9 +118,9 @@ def jet_filtration(param: Parametrization,
     index = {m: j for j, m in enumerate(columns)}
     basis = echelon({index[e]: c for e, c in p.terms.items()} for p in rows_polys)
     out = []
-    for pc in sorted(basis):
-        poly = Polynomial._trusted(ctx, {columns[j]: c for j, c in reduced_row(basis[pc], pc)})
-        out.append((sum(columns[pc]), poly))
+    for pc, row in sorted(basis.items()):
+        terms = {columns[j]: Fraction(c, row[pc]) for j, c in sorted(row.items())}
+        out.append((sum(columns[pc]), Polynomial._trusted(ctx, terms)))
     cap = param.truncation_degree
     if cap is not None:
         worst = max(o for o, _ in out)

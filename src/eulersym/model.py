@@ -143,18 +143,18 @@ class EulerModel:
     def integer_forms(self) -> tuple[int, tuple]:
         """(Q, B_2..B_r): the echelon basis of each F^k times Q, in integers.
 
-        Q is the common denominator of the coefficients of every basis form
-        of degree 2..r, and B_k holds one tuple of (exponent, integer
+        Q is the lcm of the pivot entries L of F^k's `rows`: b^k_i is a
+        primitive row R over its L, whose denominators have lcm L, so Q
+        b^k_i = (Q / L) R.  B_k holds one tuple of (exponent, integer
         coefficient) terms per form b^k_i.  Read off the system alone, not
         `integer_nilpotents`, so the translation and the map it is checked
         against do not share a table.
         """
-        bases = [self.system.component(k).basis for k in range(2, self.rank + 1)]
-        q = lcm(*(c.denominator for basis in bases for b in basis for c in b.terms.values()))
+        spaces = [self.system.component(k).rows for k in range(2, self.rank + 1)]
+        q = lcm(*(row[p] for rows in spaces for p, row in rows.items()))
         return q, tuple(
-            tuple(tuple((e, c.numerator * (q // c.denominator)) for e, c in b.terms.items())
-                  for b in basis)
-            for basis in bases)
+            tuple(tuple((e, c * (q // row[p])) for e, c in row.items()) for p, row in rows.items())
+            for rows in spaces)
 
 
 def _cleared(vals: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -1,17 +1,17 @@
 """Linear subspaces of a fixed graded piece Sym^k W*.
 
-A FormSpace stores the reduced row-echelon basis of its span over the
-monomial basis of degree k, monomials sorted descending in grevlex.
-The representation is canonical, so two spaces are equal exactly when
-their bases coincide term by term.
+A FormSpace stores its span as `echelon` returns it, keyed by monomial:
+{pivot: primitive integer row}, pivots descending in grevlex.  That form
+is canonical, so two spaces are equal exactly when their rows coincide.
 
 A space is given either by spanning forms (`FormSpace.span`) or by
 linear conditions (`kernel_of_map`, which `vanishing_space`, `prolong`
 and `implicitize` call).  Both build sparse rows {column: value} straight
 from polynomial terms and take one fraction-free `echelon`, the only
-elimination loop; they read their answer off its primitive integer rows,
-dividing only at nonzero entries.  `rref` and `nullspace` are the dense
-wrappers over the same elimination and kernel read-off.
+elimination loop.  Membership clears a form to a primitive integer row
+and eliminates it against the stored rows on that same loop, so it runs
+in integers.  `rref` and `nullspace` are the dense wrappers over the
+same elimination and kernel read-off.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def _monomials(n: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(GREVLEX.sorted_desc(out))
 
 
-def full_dimension(ctx: VarContext, degree: int) -> int:
-    return comb(ctx.n + degree - 1, degree)
-
-
 def echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, int]]:
     """Fraction-free reduced echelon form of sparse rational rows.
 
@@ -62,28 +58,38 @@ def echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, int]]
     """
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        nonzero = [(j, c) for j, c in row.items() if c]
-        den = lcm(*(c.denominator for _, c in nonzero))
-        r = _content_free({j: c.numerator * (den // c.denominator) for j, c in nonzero})
-        for j in [j for j in r if j in basis]:  # pivot rows are 0 on other pivots
-            r = _eliminate(r, basis[j], j)
+        r = _reduced(_primitive(row), basis)
         if r:
             col = min(r)
             if r[col] < 0:
                 r = {j: -c for j, c in r.items()}
             for j, b in basis.items():
                 if col in b:
-                    basis[j] = _eliminate(b, r, col)
+                    basis[j] = _reduced(b, {col: r})
             basis[col] = r
     return basis
 
 
-def _content_free(row: dict[int, int]) -> dict[int, int]:
+def _primitive(row: Mapping[Hashable, Fraction]) -> dict:
+    """The nonzero entries of a rational row, cleared to a primitive integer row."""
+    nonzero = [(j, c) for j, c in row.items() if c]
+    den = lcm(*(c.denominator for _, c in nonzero))
+    return _content_free({j: c.numerator * (den // c.denominator) for j, c in nonzero})
+
+
+def _reduced(r: dict, basis: Mapping[Hashable, dict]) -> dict:
+    """The integer row r eliminated against the pivot rows {pivot: row} it meets."""
+    for j in [j for j in r if j in basis]:  # pivot rows are 0 on other pivots
+        r = _eliminate(r, basis[j], j)
+    return r
+
+
+def _content_free(row: dict) -> dict:
     g = gcd(*row.values())
     return {j: c // g for j, c in row.items()} if g > 1 else row
 
 
-def _eliminate(r: dict[int, int], p: dict[int, int], j: int) -> dict[int, int]:
+def _eliminate(r: dict, p: dict, j) -> dict:
     """p[j]*r - r[j]*p made primitive; p[j] > 0 is a pivot, so r keeps its sign."""
     g = gcd(p[j], r[j])
     a, b = p[j] // g, r[j] // g
@@ -97,25 +103,21 @@ def _eliminate(r: dict[int, int], p: dict[int, int], j: int) -> dict[int, int]:
     return _content_free(out)
 
 
-def reduced_row(row: dict[int, int], pivot: int) -> list[tuple[int, Fraction]]:
-    """The echelon row divided by its pivot entry, in ascending columns."""
-    lead = row[pivot]
-    return [(j, Fraction(c, lead)) for j, c in sorted(row.items())]
-
-
-def _kernel(basis: dict[int, dict[int, int]], width: int) -> list[dict[int, Fraction]]:
+def _kernel(basis: dict[int, dict[int, int]], width: int) -> list[dict[int, int]]:
     """Kernel basis of the echelon rows, one vector per free column f in
-    ascending order: 1 at f, -row_p[f] / row_p[p] at each pivot p < f,
-    with its columns ascending."""
-    vecs: dict[int, dict[int, Fraction]] = {f: {} for f in range(width) if f not in basis}
+    ascending order, with its columns ascending: (1 at f, -row_p[f] / row_p[p]
+    at each pivot p < f) scaled to a primitive integer vector, positive at f."""
+    vecs: dict[int, dict[int, int]] = {f: {} for f in range(width) if f not in basis}
     for p in sorted(basis):
-        row = basis[p]
-        for j, c in row.items():
+        for j, c in basis[p].items():
             if j != p:  # reduced rows are 0 on the other pivots: j is free
-                vecs[j][p] = Fraction(-c, row[p])
+                vecs[j][p] = c
     for f, vec in vecs.items():
-        vec[f] = Fraction(1)
-    return list(vecs.values())
+        lead = lcm(*(basis[p][p] for p in vec))
+        for p in vec:
+            vec[p] *= -(lead // basis[p][p])
+        vec[f] = lead
+    return [_content_free(vec) for vec in vecs.values()]
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -126,8 +128,8 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     pivots = sorted(basis)
     out = [[Fraction(0)] * len(rows[0]) for _ in pivots]
     for dense, p in zip(out, pivots):
-        for j, c in reduced_row(basis[p], p):
-            dense[j] = c
+        for j, c in basis[p].items():
+            dense[j] = Fraction(c, basis[p][p])
     return out, pivots
 
 
@@ -136,23 +138,26 @@ def nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
     basis = echelon(dict(enumerate(row)) for row in rows)
     out = []
     for vec in _kernel(basis, width):
+        lead = vec[max(vec)]  # the free column
         dense = [Fraction(0)] * width
         for j, c in vec.items():
-            dense[j] = c
+            dense[j] = Fraction(c, lead)
         out.append(dense)
     return out
 
 
 class FormSpace:
-    """A subspace of the degree-k forms, held in canonical echelon form."""
+    """A subspace of the degree-k forms, held as `echelon`'s rows keyed by monomial."""
 
-    __slots__ = ("context", "degree", "basis", "_pivots")
+    __slots__ = ("context", "degree", "rows", "basis")
 
-    def __init__(self, ctx: VarContext, degree: int, basis: Sequence[Polynomial], pivots):
+    def __init__(self, ctx: VarContext, degree: int, rows: dict[Monomial, dict[Monomial, int]]):
         object.__setattr__(self, "context", ctx)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "basis", tuple(
+            Polynomial._trusted(ctx, {m: Fraction(c, row[p]) for m, c in row.items()})
+            for p, row in self.rows.items()))
 
     def __setattr__(self, *args):
         raise AttributeError("FormSpace is immutable")
@@ -180,36 +185,33 @@ class FormSpace:
         monos = monomials_of_degree(ctx, degree)
         index = {m: j for j, m in enumerate(monos)}
         basis = echelon({index[e]: c for e, c in p.terms.items()} for p in polys)
-        pivots = sorted(basis)
-        return cls(ctx, degree, [
-            Polynomial._trusted(ctx, {monos[j]: c for j, c in reduced_row(basis[p], p)})
-            for p in pivots], [monos[p] for p in pivots])
+        return cls(ctx, degree, {monos[p]: {monos[j]: c for j, c in sorted(basis[p].items())}
+                                 for p in sorted(basis)})
 
     @classmethod
     def zero(cls, ctx: VarContext, degree: int) -> "FormSpace":
-        return cls.span([], ctx, degree)
+        return cls(ctx, degree, {})
 
     @classmethod
     def full(cls, ctx: VarContext, degree: int) -> "FormSpace":
-        """All degree-k forms: the monic monomials are already a reduced echelon basis."""
-        monos = monomials_of_degree(ctx, degree)
-        return cls(ctx, degree, [Polynomial.from_monomial(ctx, m) for m in monos], monos)
+        """All degree-k forms: the monomials are already reduced echelon rows."""
+        return cls(ctx, degree, {m: {m: 1} for m in monomials_of_degree(ctx, degree)})
 
     # -- structure
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def pivots(self) -> tuple[Monomial, ...]:
-        return self._pivots
+        return tuple(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def is_full(self) -> bool:
-        return self.dim == full_dimension(self.context, self.degree)
+        return self.dim == comb(self.context.n + self.degree - 1, self.degree)
 
     def _accepts(self, p: Polynomial):
         if p.context != self.context:
@@ -223,7 +225,7 @@ class FormSpace:
         """p - sum_j p[pivot_j] b_j: each basis row is 1 at its pivot, 0 at the others."""
         self._accepts(p)
         out = dict(p.terms)
-        for pivot, row in zip(self._pivots, self.basis):
+        for pivot, row in zip(self.rows, self.basis):
             c = p.terms.get(pivot)
             if c:
                 for m, v in row.terms.items():
@@ -235,22 +237,24 @@ class FormSpace:
         return Polynomial._trusted(self.context, out)
 
     def contains(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero()
+        """Whether p's primitive integer row eliminates to zero against `rows`."""
+        self._accepts(p)
+        return not _reduced(_primitive(p.terms), self.rows)
 
     def coordinates_of(self, p: Polynomial) -> list[Fraction] | None:
         """Coefficients of p against the echelon basis, or None if outside."""
         if not self.contains(p):
             return None
-        return [p.coefficient(pivot) for pivot in self._pivots]
+        return [p.coefficient(pivot) for pivot in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, FormSpace):
             return NotImplemented
         return (self.context == other.context and self.degree == other.degree
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.context, self.degree, self.basis))
+        return hash((self.context, self.degree, frozenset(self.rows)))  # equal spaces share pivots
 
     def __repr__(self):
         gens = ", ".join(str(p) for p in self.basis) or "0"
@@ -266,22 +270,18 @@ def kernel_of_map(ctx: VarContext, degree: int,
     label is zero.  The condition matrix gets one row per label and its
     columns in ascending grevlex, so the kernel vector of a free column has
     that column as its largest monomial and is zero on every other free
-    column: the kernel read off `echelon` is already the canonical echelon
-    basis, with the largest pivot last, and no second elimination is needed.
+    column: the kernel read off `echelon` is already the canonical rows,
+    with the largest pivot last, and no second elimination is needed.
     """
     monos = monomials_of_degree(ctx, degree)[::-1]
     rows: dict[Hashable, dict[int, Fraction]] = {}
     for j, m in enumerate(monos):
         for label, c in images[m].items():
             if c:
-                if label not in rows:
-                    rows[label] = {}
-                rows[label][j] = c
-    basis, pivots = [], []
-    for vec in reversed(_kernel(echelon(rows.values()), len(monos))):
-        basis.append(Polynomial._trusted(ctx, {monos[j]: c for j, c in vec.items()}))
-        pivots.append(monos[next(reversed(vec))])  # the free column: largest monomial
-    return FormSpace(ctx, degree, basis, pivots)
+                rows.setdefault(label, {})[j] = c
+    return FormSpace(ctx, degree, {  # a vector's free column is its largest monomial
+        monos[max(vec)]: {monos[j]: c for j, c in vec.items()}
+        for vec in reversed(_kernel(echelon(rows.values()), len(monos)))})
 
 
 def vanishing_space(ctx: VarContext, degree: int, points: Sequence[Sequence]) -> FormSpace:

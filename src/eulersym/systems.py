@@ -14,7 +14,7 @@ stay empty), and the saturation predicate for systems of order 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -37,6 +37,7 @@ class SymbolSystem:
 
     context: VarContext
     components: tuple[FormSpace, ...]  # indexed by degree, 0..rank
+    _ideals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -50,13 +51,19 @@ class SymbolSystem:
     def _base_locus_empty(self) -> dict[int, bool]:
         return {1: True}  # F^1 = W* has no common zero in projective space
 
+    def ideal(self, k: int) -> GroebnerBasis:
+        """Reduced grevlex basis of the ideal F^k generates; completed once per k."""
+        if k not in self._ideals:
+            self._ideals[k] = GroebnerBasis.of(list(self.component(k).basis), self.context)
+        return self._ideals[k]
+
     def base_locus_empty(self, k: int) -> bool:
         """Whether Bs(F^k) is empty, 1 <= k <= rank; computed once per k."""
         if not 1 <= k <= self.rank:
             raise ValueError(f"base locus of F^{k} is asked outside 1..{self.rank}")
         flags = self._base_locus_empty
         if k not in flags:
-            flags[k] = is_zero_dimensional(self.components[k])
+            flags[k] = is_zero_dimensional(self.ideal(k))
         return flags[k]
 
     @cached_property
@@ -150,9 +157,8 @@ def prolong(space: FormSpace) -> FormSpace:
     if k < 1:
         raise ValueError("prolongation needs a component of degree >= 1")
     ctx = space.context
-    pivots = set(space.pivots)
-    residue = {m: [(m, Fraction(1))] for m in monomials_of_degree(ctx, k) if m not in pivots}
-    for m, b in zip(space.pivots, space.basis):
+    residue = {m: [(m, Fraction(1))] for m in monomials_of_degree(ctx, k) if m not in space.rows}
+    for m, b in zip(space.rows, space.basis):
         residue[m] = [(mm, -c) for mm, c in b.terms.items() if mm != m]
     images = {}
     for big in monomials_of_degree(ctx, k + 1):
@@ -222,7 +228,7 @@ def is_saturated(system: SymbolSystem) -> SaturationResult:
         raise SaturationPreconditionError(
             "saturation predicate needs a nonzero F^2, and F^2 is zero")
     diagnostics = []
-    sat = saturate_ideal(list(system.component(2).basis))
+    sat = saturate_ideal(system.ideal(2))
     slice2 = graded_component(sat, 2)
     degree2_matches = slice2 == system.component(2)
     if not degree2_matches:

@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 from itertools import count
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Sequence
+
+from hypothesis import strategies as st
 
 from eulersym import (GREVLEX, ContextMismatchError, DegreeCapExceeded, FormSpace, GroebnerBasis,
                       MonomialOrder, Polynomial, ProjectivePoint, SymbolSystem, VarContext,
@@ -236,11 +238,20 @@ def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return rows[:rank], pivots
 
 
+def integer_frames(n: int):
+    """Hypothesis strategy: invertible n x n integer matrices with entries in [-3, 3]."""
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n).filter(
+        lambda a: len(dense_rref([[Fraction(c) for c in row] for row in a])[1]) == n)
+
+
 def dense_span(polys: Sequence[Polynomial], ctx: VarContext, degree: int) -> FormSpace:
-    """The echelon basis of the span, from dense rows over the descending monomials.
+    """The echelon rows of the span, from dense rows over the descending monomials.
 
     The library's former `FormSpace.span`, on `dense_rref`; kept as an
-    independent oracle for the sparse `FormSpace.span` on `echelon`.
+    independent oracle for the sparse `FormSpace.span` on `echelon`.  Each
+    reduced row times the lcm of its denominators is the primitive integer
+    row that `FormSpace` stores.
     """
     monos = monomials_of_degree(ctx, degree)
     index = {m: j for j, m in enumerate(monos)}
@@ -251,8 +262,11 @@ def dense_span(polys: Sequence[Polynomial], ctx: VarContext, degree: int) -> For
             row[index[e]] = c
         rows.append(row)
     reduced, pivots = dense_rref(rows)
-    basis = [Polynomial(ctx, {monos[j]: c for j, c in enumerate(row) if c}) for row in reduced]
-    return FormSpace(ctx, degree, basis, [monos[j] for j in pivots])
+    cleared = {}
+    for p, row in zip(pivots, reduced):
+        den = lcm(*(c.denominator for c in row))
+        cleared[monos[p]] = {monos[j]: int(c * den) for j, c in enumerate(row) if c}
+    return FormSpace(ctx, degree, cleared)
 
 
 def dense_jet_filtration(param: Parametrization, base: Sequence) -> list[tuple[int, Polynomial]]:

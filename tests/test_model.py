@@ -271,13 +271,10 @@ def test_acting_does_not_reprove_closure(monkeypatch):
     # echelon coordinates off the pivots instead of reducing again
     systems = [_bundled("epr.sys"), full_system(2, 3)]
     calls = []
-    reduce = FormSpace.reduce
-
-    def counted(self, p):  # `contains` and `coordinates_of` go through it too
-        calls.append(p)
-        return reduce(self, p)
-
-    monkeypatch.setattr(FormSpace, "reduce", counted)
+    for name in ("reduce", "contains"):  # `coordinates_of` goes through `contains`
+        method = getattr(FormSpace, name)
+        monkeypatch.setattr(FormSpace, name,
+                            lambda self, p, method=method: calls.append(p) or method(self, p))
     for system in systems:
         model = build_model(system)
         n = system.context.n

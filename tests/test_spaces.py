@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulersym import (
+    GREVLEX,
     FormSpace,
     HomogeneityError,
     Polynomial,
@@ -17,10 +18,10 @@ from eulersym import (
     monomials_of_degree,
     vanishing_space,
 )
-from eulersym.poly import default_context
+from eulersym.poly import compose_linear, default_context
 from eulersym.spaces import echelon, nullspace, rref
 from helpers import (dense_kernel_of_map, dense_rref, dense_span, dense_vanishing_space,
-                     loop_coordinates_of, loop_reduce)
+                     integer_frames, loop_coordinates_of, loop_reduce)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -49,6 +50,19 @@ def test_empty_span_needs_explicit_shape():
         FormSpace.span([])
 
 
+def _assert_echelon_rows(space):
+    # rows: primitive integer rows, positive at the pivot, zero at the other
+    # pivots, pivots descending in grevlex; the basis is each row over its pivot
+    assert list(space.rows) == GREVLEX.sorted_desc(space.rows)
+    for pivot, row in space.rows.items():
+        assert all(type(c) is int and c for c in row.values())
+        assert gcd(*row.values()) == 1 and row[pivot] > 0
+        assert not any(q in row for q in space.rows if q != pivot)
+    assert space.basis == tuple(Polynomial(space.context, {m: Fraction(c, row[p])
+                                                           for m, c in row.items()})
+                                for p, row in space.rows.items())
+
+
 def test_zero_and_full():
     full = FormSpace.full(CTX, 2)
     assert full.is_full()
@@ -64,6 +78,7 @@ def test_full_is_the_span_of_the_monomials(n, k):
     full = FormSpace.full(ctx, k)
     spanned = FormSpace.span(
         [Polynomial.from_monomial(ctx, m) for m in monomials_of_degree(ctx, k)], ctx, k)
+    _assert_echelon_rows(full)
     assert full == spanned
     assert full.basis == spanned.basis
     assert full.pivots == spanned.pivots
@@ -174,6 +189,7 @@ def test_kernel_of_map_is_the_canonical_kernel(case):
     ctx, degree, images = case
     kernel = kernel_of_map(ctx, degree, images)
     dense = {m: [[image.get(l, 0) for l in LABELS]] for m, image in images.items()}
+    _assert_echelon_rows(kernel)
     assert kernel == dense_kernel_of_map(ctx, degree, dense)
     respan = FormSpace.span(kernel.basis, ctx, degree)
     assert kernel.basis == respan.basis and kernel.pivots == respan.pivots
@@ -293,6 +309,42 @@ def test_span_matches_the_dense_oracle(case):
     oracle = dense_span(polys, ctx, degree)
     assert space == oracle
     assert space.basis == oracle.basis and space.pivots == oracle.pivots
+
+
+@st.composite
+def framed_spaces(draw):
+    """Forms with integer entries in [-3, 3], moved to a random invertible
+    integer frame with entries in [-3, 3]; a rational combination of them
+    (a member), and a monomial with a nonzero multiplier to perturb it by."""
+    n = draw(st.integers(1, 3))
+    ctx = default_context(n)
+    degree = draw(st.integers(0, 3))
+    monos = monomials_of_degree(ctx, degree)
+    small = st.integers(-3, 3)
+    frame = draw(integer_frames(n))
+    gens = [compose_linear(Polynomial(ctx, {m: draw(small) for m in
+                                            draw(st.lists(st.sampled_from(monos), max_size=4))}),
+                           frame)
+            for _ in range(draw(st.integers(0, 4)))]
+    ratio = st.builds(Fraction, small, st.integers(1, 3))
+    member = sum((draw(ratio) * g for g in gens), Polynomial.zero(ctx))
+    return ctx, degree, gens, member, draw(st.sampled_from(monos)), draw(ratio.filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(framed_spaces())
+def test_integer_rows_match_the_fraction_oracles(case):
+    ctx, degree, gens, member, mono, c = case
+    space = FormSpace.span(gens, ctx, degree)
+    oracle = dense_span(gens, ctx, degree)
+    _assert_echelon_rows(space)
+    assert space == oracle and hash(space) == hash(oracle)
+    assert space.contains(member) and loop_reduce(oracle, member).is_zero()
+    outsider = member + Polynomial.from_monomial(ctx, mono, c)
+    assert space.contains(outsider) == loop_reduce(oracle, outsider).is_zero()
+    if mono not in space.rows:  # a non-pivot monomial is its own residue
+        assert not space.contains(outsider)
+    assert space.coordinates_of(outsider) == loop_coordinates_of(oracle, outsider)
 
 
 def test_rref_matches_sympy():

@@ -12,21 +12,27 @@ from eulersym import (
     Polynomial,
     SaturationPreconditionError,
     assemble,
+    build_model,
+    compose_linear,
     contract,
     context,
     from_polynomial,
     full_system,
+    implicitize,
     is_saturated,
+    monomials_of_degree,
     order,
     prolong,
     system_from_file,
+    validate,
 )
 import eulersym.systems
 from eulersym.cli import bundled_text
 from eulersym.spaces import kernel_of_map
 from eulersym.systems import structural_diagnostics
 from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
-                     dense_kernel_of_map, random_poly, segre_dense, segre_monomial)
+                     dense_kernel_of_map, integer_frames, random_poly, segre_dense,
+                     segre_monomial)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -192,6 +198,76 @@ def test_diagnostics_match_the_contraction_oracle(case):
                 contraction_diagnostics(s.context, cut)
 
 
+def test_validation_proves_closure_without_fraction_reduction(monkeypatch):
+    # membership eliminates the partials in integers against the echelon rows
+    calls, validated = [], []
+    reduce, certify = FormSpace.reduce, eulersym.systems.validate
+    monkeypatch.setattr(FormSpace, "reduce", lambda self, p: calls.append(p) or reduce(self, p))
+    monkeypatch.setattr(eulersym.systems, "validate",
+                        lambda ctx, comps: validated.append(ctx) or certify(ctx, comps))
+    assert segre_dense(4, 3).dims == (1, 4, 6, 4, 1)
+    assert validated and calls == []
+
+
+@st.composite
+def framed_forms(draw):
+    """A form with entries in [-3, 3] in a random integer frame, n = 2, 3."""
+    ctx = context(*(f"x{i + 1}" for i in range(draw(st.integers(2, 3)))))
+    monos = monomials_of_degree(ctx, draw(st.integers(2, 3)))
+    form = Polynomial(ctx, {m: draw(st.integers(-3, 3))
+                            for m in draw(st.lists(st.sampled_from(monos), min_size=1))})
+    return compose_linear(form, draw(integer_frames(ctx.n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(framed_forms(), st.data())
+def test_validate_messages_match_the_contraction_oracle_in_dense_frames(p, data):
+    if p.is_zero():
+        return
+    s = from_polynomial(p)
+    k = data.draw(st.integers(2, s.rank))
+    basis = s.component(k - 1).basis
+    j = data.draw(st.integers(0, len(basis) - 1))
+    cut = list(s.components[:k - 1]) + [FormSpace.span(basis[:j] + basis[j + 1:], s.context,
+                                                       k - 1)] + list(s.components[k:])
+    try:
+        validate(s.context, cut)
+        messages = []
+    except InvalidSymbolSystem as exc:
+        messages = list(exc.diagnostics)
+    assert messages == contraction_diagnostics(s.context, cut)
+
+
+def _structure(s):
+    # every answer here is GL(W)-invariant
+    try:
+        saturated = is_saturated(s).saturated
+    except SaturationPreconditionError:
+        saturated = None
+    return (s.dims, order(s), saturated,
+            tuple(prolong(s.component(k)).dim for k in range(1, s.rank + 1)),
+            implicitize(build_model(s), 2).dim)
+
+
+FRAME_SOURCES = {
+    **{name: st.just(name).map(_bundled)
+       for name in ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")},
+    **{f"full({n},{r})": st.just((n, r)).map(lambda nr: full_system(*nr))
+       for n in (2, 3) for r in (2, 3)},
+    "single form": framed_forms().filter(lambda p: not p.is_zero()).map(from_polynomial),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FRAME_SOURCES)), st.data())
+def test_structure_is_frame_invariant(name, data):
+    s = data.draw(FRAME_SOURCES[name])
+    frame = data.draw(integer_frames(s.context.n))
+    moved = assemble(s.context, s.rank, {
+        k: [compose_linear(b, frame) for b in s.component(k).basis] for k in range(2, s.rank + 1)})
+    assert _structure(moved) == _structure(s)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 3))
 def test_full_systems_are_valid_with_full_order(n, rank):
@@ -227,7 +303,8 @@ def test_base_locus_flags_agree_with_the_order(monkeypatch, name):
     calls = []
     zero_dimensional = eulersym.systems.is_zero_dimensional
     monkeypatch.setattr(eulersym.systems, "is_zero_dimensional",
-                        lambda space: calls.append(space.degree) or zero_dimensional(space))
+                        lambda ideal: calls.append(min(g.degree() for g in ideal.polys))
+                        or zero_dimensional(ideal))
     system = _bundled(name)
     m = order(system)
     # F^1 comes from the axioms; the scan stops at the first nonempty locus
