@@ -20,16 +20,16 @@ of d_i b^k_j at the pivots of F^(k-1), with no reduction.  Block 0 is
 F^0 = <1>, so the t and w blocks need no special case, and
 N_v^(r+1) = 0 makes the exponential a finite sum.
 
-`group_act` evaluates that sum in integers.  Write N_i = M_i / q with q
-the common denominator of all nilpotent entries, v = u / d and z = y / e
-with u, y integral, and M_u = sum_i u_i M_i.  Then
+`group_act` evaluates that sum in integers on the point's primitive
+integer vector y.  Write N_i = M_i / q with q the common denominator of
+all nilpotent entries, v = u / d with u integral, and M_u = sum_i u_i M_i.
+Then
 
-    (dq)^r * r! * e * exp(N_v) z = sum_j c_j M_u^j y,  c_j = (dq)^(r-j) r!/j!,
+    (dq)^r * r! * exp(N_v) y = sum_j c_j M_u^j y,  c_j = (dq)^(r-j) r!/j!,
 
 an integer vector that Horner's rule builds with one cumulative
-coefficient.  The left side is a nonzero multiple of exp(N_v) z, and a
-ProjectivePoint is scaled so its first nonzero coordinate is 1, so the
-integer vector is the same projective point, exactly.
+coefficient: a nonzero multiple of exp(N_v) y, so the same projective
+point, exactly.
 
 `phi_eval`, `orbit_curve_degree` and `euler_act` run in integers the
 same way.  Write t = s / e and w = u / d with u integral, and let Q be
@@ -42,8 +42,8 @@ t^(r-k) b^k(w) with b^k homogeneous of degree k, so
 with b^0 = 1 and b^1(u) = u, a nonzero multiple of phi(t, w).  For the
 same reason b^k(w) != 0 exactly when Q b^k(u) != 0, which is all the
 orbit degree reads.  The torus element lambda = a / c scales block k by
-lambda^k, so c^r lambda scales block k of a cleared point y = e z by
-a^k c^(r-k).
+lambda^k, so c^r lambda scales block k of the point's integer vector y
+by a^k c^(r-k).
 
 The torus acts with weight k on block k, so the ideal of the model is
 graded by torus weight: `implicitize` finds its degree-d piece as one
@@ -56,8 +56,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
-from typing import Sequence
+from math import gcd, lcm, prod
+from typing import Iterable, Sequence
 
 from . import sampling
 from .errors import ContextMismatchError
@@ -68,26 +68,26 @@ from .systems import SymbolSystem
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Exact projective point, scaled so the first nonzero coordinate is 1."""
+    """Exact projective point: coprime integers, the first nonzero one positive."""
 
-    coords: tuple[Fraction, ...]
+    vector: tuple[int, ...]
 
-    def __init__(self, coords: Sequence):
+    def __init__(self, coords: Iterable):
         vals = tuple(coords)
-        integral = all(type(c) is int for c in vals)  # as group_act's Horner output
-        if not integral:
-            vals = tuple(_as_scalar(c) for c in vals)
-        lead = next((c for c in vals if c), None)
-        if lead is None:
+        if not all(type(c) is int for c in vals):  # the actions return integers: no clearing
+            _, vals = _cleared([_as_scalar(c) for c in vals])
+        g = gcd(*vals)
+        if not g:
             raise ValueError("all coordinates are zero; not a projective point")
-        object.__setattr__(self, "coords", tuple(
-            Fraction(c, lead) if integral else c / lead for c in vals))
+        if next(c for c in vals if c) < 0:
+            g = -g
+        object.__setattr__(self, "vector", tuple(c // g for c in vals))
 
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The point scaled so its first nonzero coordinate is 1, in Fractions."""
+        lead = next(c for c in self.vector if c)
+        return tuple(Fraction(c, lead) for c in self.vector)
 
     def __str__(self):
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
@@ -208,16 +208,16 @@ def phi_eval(model: EulerModel, t, w: Sequence) -> ProjectivePoint:
 def euler_act(model: EulerModel, lam, z: ProjectivePoint) -> ProjectivePoint:
     """Torus action: weight 0 on the t block, weight k on the degree-k block.
 
-    Computed in integers: lambda = a / c scales block k of the cleared
-    point by a^k c^(r-k) (module docstring).
+    Computed in integers: lambda = a / c scales block k of the point's
+    integer vector by a^k c^(r-k) (module docstring).
     """
     lam = _as_scalar(lam)
     if not lam:
         raise ValueError("torus elements are nonzero scalars")
-    if len(z.coords) != model.ambient_dim:
+    y = z.vector
+    if len(y) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
     a, c = lam.numerator, lam.denominator
-    _, y = _cleared(z.coords)
     out = []
     for k, (start, stop) in enumerate(model.block_bounds):
         scale = a**k * c ** (model.rank - k)
@@ -234,11 +234,10 @@ def group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> ProjectiveP
     v = tuple(_as_scalar(c) for c in v)
     if len(v) != model.system.context.n:
         raise ValueError(f"translation vector needs {model.system.context.n} coordinates")
-    z = [_as_scalar(c) for c in z]
-    if len(z) != model.ambient_dim:
+    y = z.vector
+    if len(y) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
     d, u = _cleared(v)
-    _, y = _cleared(z)
     q, mats = model.integer_nilpotents
     mu = []  # M_u, one sparse row per coordinate with equal columns combined
     for row in range(model.ambient_dim):

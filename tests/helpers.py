@@ -98,7 +98,7 @@ def fraction_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Pr
     v = tuple(_as_scalar(c) for c in v)
     if len(v) != model.system.context.n:
         raise ValueError(f"translation vector needs {model.system.context.n} coordinates")
-    out = term = [_as_scalar(c) for c in z]
+    out = term = [_as_scalar(c) for c in z.coords]
     if len(out) != model.ambient_dim:
         raise ValueError(f"ambient point needs {model.ambient_dim} coordinates")
     mats = contraction_nilpotents(model)
@@ -125,7 +125,7 @@ def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Proje
     v = tuple(Fraction(c) for c in v)
     if len(v) != ctx.n:
         raise ValueError(f"translation vector needs {ctx.n} coordinates")
-    t = z[0]
+    t = z.coords[0]
     blocks = [z.coords[start:stop] for start, stop in model.block_bounds]
     w = blocks[1]
     out = [t]

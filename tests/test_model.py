@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -45,6 +45,10 @@ def test_projective_point_normalization():
     p = ProjectivePoint([0, 2, 4])
     assert p.coords == (0, 1, 2)
     assert p == ProjectivePoint([0, Fraction(1, 3), Fraction(2, 3)])
+    assert p.vector == (0, 1, 2)
+    assert ProjectivePoint([0, -2, 4]).vector == (0, 1, -2)
+    assert ProjectivePoint([Fraction(-1, 2), Fraction(1, 3)]).vector == (3, -2)
+    assert str(ProjectivePoint([0, -2, 4])) == "[0 : 1 : -2]"
     with pytest.raises(ValueError):
         ProjectivePoint([0, 0])
 
@@ -67,11 +71,19 @@ def test_integer_points_normalize_like_the_two_step_oracle():
     cases = [c for c in cases if any(c)]
     mixed = [[Fraction(c, rng.randint(1, 9)) if rng.random() < 0.3 else c for c in case]
              for case in cases]
-    for coords in cases + mixed + [[True, 2, False], [0, True, 3]]:
+    fractions = [[Fraction(rng.randint(-huge, huge), rng.randint(huge // 10, huge))
+                  for _ in range(rng.randint(1, 12))] for _ in range(50)]
+    for coords in cases + mixed + fractions + [[True, 2, False], [0, True, 3]]:
         point = ProjectivePoint(coords)
         assert point.coords == _two_step_normalization(coords)
         assert all(type(c) is Fraction for c in point.coords)
         assert ProjectivePoint(iter(coords)) == point
+        assert gcd(*point.vector) == 1 and next(c for c in point.vector if c) > 0
+        assert ProjectivePoint(point.vector) == point == ProjectivePoint(point.coords)
+        # the same point scaled by a rational, integral entries passed as ints
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        same = [x.numerator if x.denominator == 1 else x for x in (c * scale for c in coords)]
+        assert hash(ProjectivePoint(same)) == hash(ProjectivePoint(iter(coords))) == hash(point)
 
 
 def test_action_inputs_must_be_exact_and_fit():
@@ -241,6 +253,26 @@ def test_integer_points_match_the_fraction_oracles(name, frame):
         for lam in lams + [0]:
             assert _outcome(euler_act, model, lam, z) == \
                 _outcome(fraction_euler_act, model, lam, z)
+
+
+@pytest.mark.parametrize("name,frame", [("epr.sys", "dense"), ("triple.sys", "dense"),
+                                        ("full_3_3", "shipped")])
+def test_acting_never_builds_the_fraction_view(name, frame):
+    model = build_model(_system(name, frame))
+    n = model.system.context.n
+    rng = random.Random("view" + name)
+    v, w = sampling.vector(rng, n), sampling.vector(rng, n)
+    t, lam = sampling.nonzero_rational(rng), sampling.nonzero_rational(rng)
+    built = ProjectivePoint([rng.randint(1, 99) for _ in range(model.ambient_dim)])
+    mapped = phi_eval(model, t, w)
+    for z in (built, mapped):
+        moved, scaled = group_act(model, v, z), euler_act(model, lam, z)
+        pair = euler_act(model, lam, moved), group_act(model, [lam * vi for vi in v], scaled)
+        assert pair[0] == pair[1]
+        assert not any("coords" in vars(p) for p in (z, moved, scaled, *pair))
+        assert moved.coords == fraction_group_act(model, v, z).coords
+        assert scaled.coords == fraction_euler_act(model, lam, z).coords
+    assert mapped.coords == fraction_phi_eval(model, t, w).coords
 
 
 def test_point_cases_cover_fractional_forms_and_undefined_points():
