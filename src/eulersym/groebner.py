@@ -9,6 +9,7 @@ completions into a loud error instead of a hang.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from operator import add
@@ -160,15 +161,16 @@ def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynom
     return keep
 
 
+@dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced basis together with its context and order."""
 
-    __slots__ = ("context", "order", "polys")
+    context: VarContext
+    order: MonomialOrder
+    polys: tuple[Polynomial, ...]
 
-    def __init__(self, ctx: VarContext, order: MonomialOrder, polys: Sequence[Polynomial]):
-        self.context = ctx
-        self.order = order
-        self.polys = tuple(polys)
+    def __post_init__(self):
+        object.__setattr__(self, "polys", tuple(self.polys))  # `buchberger` returns a list
 
     @classmethod
     def of(cls, gens: Sequence[Polynomial], ctx: VarContext,
@@ -181,12 +183,6 @@ class GroebnerBasis:
 
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return (self.context == other.context and self.order.name == other.order.name
-                and self.polys == other.polys)
 
     def __repr__(self):
         gens = ", ".join(str(p) for p in self.polys) or "0"

@@ -104,6 +104,14 @@ def _as_scalar(c) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
+def _one_per_variable(vals: list, ctx: VarContext, what: str = "point") -> list:
+    """vals, once checked to hold one coordinate per variable of ctx."""
+    if len(vals) != ctx.n:
+        raise ContextMismatchError(
+            f"{what} has {len(vals)} coordinates, context has {ctx.n} variables")
+    return vals
+
+
 def _mul_terms(f: Mapping[Monomial, Fraction],
                g: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
     """Product of two clean term dicts, as a clean term dict."""
@@ -318,11 +326,7 @@ class Polynomial:
 
 def evaluate(p: Polynomial, point: Sequence) -> Fraction:
     """Exact value of p at a rational point."""
-    vals = [_as_scalar(c) for c in point]
-    if len(vals) != p.context.n:
-        raise ContextMismatchError(
-            f"point has {len(vals)} coordinates, context has {p.context.n} variables"
-        )
+    vals = _one_per_variable([_as_scalar(c) for c in point], p.context)
     total = Fraction(0)
     for expo, coeff in p.terms.items():
         term = coeff
@@ -347,11 +351,7 @@ def contract(p: Polynomial, v: Sequence, times: int = 1) -> Polynomial:
     k = p.homogeneous_degree()
     if times > k:
         return Polynomial.zero(p.context)
-    vals = [_as_scalar(c) for c in v]
-    if len(vals) != p.context.n:
-        raise ContextMismatchError(
-            f"vector has {len(vals)} coordinates, context has {p.context.n} variables"
-        )
+    vals = _one_per_variable([_as_scalar(c) for c in v], p.context, "vector")
     out = p
     for step in range(times):
         out = sum((out.derivative(i) * c for i, c in enumerate(vals) if c),

@@ -1,8 +1,9 @@
 """Linear subspaces of a fixed graded piece Sym^k W*.
 
-A FormSpace stores its span as `echelon` returns it, keyed by monomial:
+A FormSpace is a frozen record of `echelon`'s rows keyed by monomial:
 {pivot: primitive integer row}, pivots descending in grevlex.  That form
 is canonical, so two spaces are equal exactly when their rows coincide.
+The `Fraction` basis, each row over its pivot entry, is built on first read.
 
 A space is given either by spanning forms (`FormSpace.span`) or by
 linear conditions (`kernel_of_map`, which `vanishing_space`, `prolong`
@@ -16,13 +17,14 @@ same elimination and kernel read-off.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm, prod
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatchError, HomogeneityError
-from .poly import GREVLEX, Monomial, Polynomial, VarContext
+from .poly import GREVLEX, Monomial, Polynomial, VarContext, _one_per_variable
 
 
 def monomials_of_degree(ctx: VarContext, degree: int) -> list[Monomial]:
@@ -146,21 +148,20 @@ def nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
     return out
 
 
+@dataclass(frozen=True)
 class FormSpace:
     """A subspace of the degree-k forms, held as `echelon`'s rows keyed by monomial."""
 
-    __slots__ = ("context", "degree", "rows", "basis")
+    context: VarContext
+    degree: int
+    rows: dict[Monomial, dict[Monomial, int]]
 
-    def __init__(self, ctx: VarContext, degree: int, rows: dict[Monomial, dict[Monomial, int]]):
-        object.__setattr__(self, "context", ctx)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "basis", tuple(
-            Polynomial._trusted(ctx, {m: Fraction(c, row[p]) for m, c in row.items()})
-            for p, row in self.rows.items()))
-
-    def __setattr__(self, *args):
-        raise AttributeError("FormSpace is immutable")
+    @cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        """The rows as Fraction forms, each over its pivot entry; built on first read."""
+        return tuple(
+            Polynomial._trusted(self.context, {m: Fraction(c, row[p]) for m, c in row.items()})
+            for p, row in self.rows.items())
 
     # -- constructors
 
@@ -247,12 +248,6 @@ class FormSpace:
             return None
         return [p.coefficient(pivot) for pivot in self.rows]
 
-    def __eq__(self, other):
-        if not isinstance(other, FormSpace):
-            return NotImplemented
-        return (self.context == other.context and self.degree == other.degree
-                and self.rows == other.rows)
-
     def __hash__(self):
         return hash((self.context, self.degree, frozenset(self.rows)))  # equal spaces share pivots
 
@@ -286,7 +281,7 @@ def kernel_of_map(ctx: VarContext, degree: int,
 
 def vanishing_space(ctx: VarContext, degree: int, points: Sequence[Sequence]) -> FormSpace:
     """Forms of the given degree vanishing at every listed point."""
-    points = [[Fraction(c) for c in pt] for pt in points]
+    points = [_one_per_variable([Fraction(c) for c in pt], ctx) for pt in points]
     return kernel_of_map(ctx, degree, {
         m: {i: prod(c**e for c, e in zip(pt, m)) for i, pt in enumerate(points)}
         for m in monomials_of_degree(ctx, degree)})

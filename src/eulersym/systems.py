@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import InvalidSymbolSystem, SaturationPreconditionError
@@ -147,19 +148,20 @@ def assemble(ctx: VarContext, rank: int, graded: Mapping[int, Sequence[Polynomia
 def prolong(space: FormSpace) -> FormSpace:
     """Forms one degree up whose every basis-vector contraction lies in `space`.
 
-    Up to the factor 1/(k+1), contracting x^M by e_i gives M_i x^(M - e_i),
-    whose residue modulo `space` is read off the echelon basis: a
-    non-pivot monomial is its own residue, and the pivot of basis row b
-    has residue m - b.  Residues live on the non-pivot monomials, so the
-    constraints are labelled (i, non-pivot monomial).
+    Up to the factor 1/(k+1), contracting x^M by e_i gives M_i x^(M - e_i).
+    Its residue modulo `space`, times the lcm L of the pivot entries, is read
+    off the integer rows: L*m for a non-pivot m, -(L/R[m])*(R - R[m]*m) for
+    the pivot m of row R.  Scaling by L keeps the kernel, and residues live
+    on the non-pivot monomials, so constraints are labelled (i, non-pivot).
     """
     k = space.degree
     if k < 1:
         raise ValueError("prolongation needs a component of degree >= 1")
-    ctx = space.context
-    residue = {m: [(m, Fraction(1))] for m in monomials_of_degree(ctx, k) if m not in space.rows}
-    for m, b in zip(space.rows, space.basis):
-        residue[m] = [(mm, -c) for mm, c in b.terms.items() if mm != m]
+    ctx, rows = space.context, space.rows
+    scale = lcm(*(row[m] for m, row in rows.items()))
+    residue = {m: [(m, scale)] for m in monomials_of_degree(ctx, k) if m not in rows}
+    for m, row in rows.items():
+        residue[m] = [(mm, -(scale // row[m]) * c) for mm, c in row.items() if mm != m]
     images = {}
     for big in monomials_of_degree(ctx, k + 1):
         images[big] = image = {}

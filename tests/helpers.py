@@ -17,7 +17,7 @@ from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_
 from eulersym.model import EulerModel
 from eulersym.jets import Parametrization
 from eulersym.poly import Monomial, _as_scalar, compose_linear, grevlex_key, translate
-from eulersym.spaces import nullspace
+from eulersym.spaces import nullspace, rref
 from eulersym import sampling
 
 
@@ -480,6 +480,25 @@ def dense_vanishing_space(ctx: VarContext, degree: int, points: Sequence[Sequenc
         for combo in combos
     ]
     return FormSpace.span(polys, ctx, degree)
+
+
+# ---------------------------------------------------------------------------
+# systems in seeded integer frames
+
+def dense_frame(system, seed):
+    """The system after a seeded invertible substitution with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    n = system.context.n
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if len(rref([[Fraction(c) for c in row] for row in matrix])[1]) == n:
+            return substitute_frame(system, matrix)
+
+
+def substitute_frame(system, matrix):
+    graded = {k: [compose_linear(b, matrix) for b in system.component(k).basis]
+              for k in range(2, system.rank + 1)}
+    return assemble(system.context, system.rank, graded)
 
 
 # ---------------------------------------------------------------------------

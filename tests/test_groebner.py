@@ -1,6 +1,7 @@
 """Buchberger, saturation and the zero-dimensionality test."""
 
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -333,3 +334,16 @@ def test_orders_sharing_a_name_keep_their_own_leading_monomials():
     g = X2**2 - X1 * X3
     assert reduce_poly(p, [g], by_degree) == 2 * X1 * X3
     assert reduce_poly(p, [g], by_letter) == 2 * X2**2
+
+
+def test_a_basis_is_frozen_hashable_and_compares_its_order_object():
+    gb = GroebnerBasis.of([X1 * X2 - X3**2, X1**2], CTX)
+    assert isinstance(gb.polys, tuple)  # buchberger returns a list
+    same = GroebnerBasis(context=CTX, order=GREVLEX, polys=list(gb.polys))
+    assert same == gb and hash(same) == hash(gb)
+    namesake = MonomialOrder(GREVLEX.name, GREVLEX.key)
+    assert GroebnerBasis(CTX, namesake, gb.polys) != gb
+    assert [f.name for f in fields(gb)] == ["context", "order", "polys"]
+    for f in fields(gb):
+        with pytest.raises(FrozenInstanceError):
+            setattr(gb, f.name, getattr(gb, f.name))

@@ -11,9 +11,7 @@ from eulersym import (
     FormSpace,
     Polynomial,
     ProjectivePoint,
-    assemble,
     build_model,
-    compose_linear,
     context,
     euler_act,
     full_system,
@@ -27,12 +25,10 @@ from eulersym import (
 from eulersym import sampling
 from eulersym.cli import bundled_text
 from eulersym.model import random_ambient_point
-
-from eulersym.spaces import rref
-from helpers import (chain_group_act, contraction_nilpotents, fraction_euler_act,
+from helpers import (chain_group_act, contraction_nilpotents, dense_frame, fraction_euler_act,
                      fraction_group_act, fraction_nilpotents, fraction_orbit_curve_degree,
                      fraction_phi_eval, power_pullback, random_image_point, random_poly,
-                     recover_symbols, sampled_implicitize, segre_dense)
+                     recover_symbols, sampled_implicitize, segre_dense, substitute_frame)
 
 BUNDLED = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -151,7 +147,7 @@ def _system(name, frame="shipped"):
         system = _bundled(name)
     if frame == "monomial":
         return _monomial_frame(system, name)
-    return _dense_frame(system, name) if frame == "dense" else system
+    return dense_frame(system, name) if frame == "dense" else system
 
 
 ACTION_CASES = ([(name, frame) for name in BUNDLED
@@ -446,23 +442,7 @@ def _monomial_frame(system, seed):
     rng.shuffle(perm)
     matrix = [[rng.choice([-3, -2, -1, 2, 3]) if j == perm[i] else 0
                for j in range(n)] for i in range(n)]
-    return _substitute(system, matrix)
-
-
-def _dense_frame(system, seed):
-    """The system after a seeded invertible substitution with entries in [-2, 2]."""
-    rng = random.Random(seed)
-    n = system.context.n
-    while True:
-        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if len(rref([[Fraction(c) for c in row] for row in matrix])[1]) == n:
-            return _substitute(system, matrix)
-
-
-def _substitute(system, matrix):
-    graded = {k: [compose_linear(b, matrix) for b in system.component(k).basis]
-              for k in range(2, system.rank + 1)}
-    return assemble(system.context, system.rank, graded)
+    return substitute_frame(system, matrix)
 
 
 ORACLE_CASES = (

@@ -1,6 +1,7 @@
 """FormSpace: canonical echelon bases and the lattice operations."""
 
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import gcd
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from eulersym import (
     GREVLEX,
+    ContextMismatchError,
     FormSpace,
     HomogeneityError,
     Polynomial,
     context,
     kernel_of_map,
     monomials_of_degree,
+    prolong,
     vanishing_space,
 )
 from eulersym.poly import compose_linear, default_context
@@ -138,6 +141,13 @@ def test_vanishing_space():
     assert v.dim == 4
     assert v.contains(X1 * X2) and v.contains(X3**2)
     assert not v.contains(X1**2)
+
+
+@pytest.mark.parametrize("point", [(1, 0), (1, 0, 0, 5)])
+def test_vanishing_space_rejects_a_point_of_the_wrong_length(point):
+    with pytest.raises(ContextMismatchError,
+                       match=f"point has {len(point)} coordinates, context has 3 variables"):
+        vanishing_space(CTX, 1, [(0, 1, 0), point])
 
 
 def test_vanishing_space_matches_the_dense_oracle():
@@ -365,3 +375,29 @@ def test_monomial_lists_are_fresh_copies():
     first = monomials_of_degree(CTX, 2)
     first.clear()
     assert len(monomials_of_degree(CTX, 2)) == 6
+
+
+def test_the_fraction_basis_is_built_only_when_read():
+    # building, comparing, hashing, membership and prolong read the integer rows alone
+    source = FormSpace.span([2 * X1 * X2 + X3**2, X1 * X3 - 3 * X2**2, X1**2])
+    images = {m: {"a": m[0] - 2 * m[1], "b": 3 * m[2] - m[0]} for m in monomials_of_degree(CTX, 2)}
+    spaces = [FormSpace.span([2 * X1 + X2, 3 * X1 - X3]), kernel_of_map(CTX, 2, images),
+              prolong(source), source]
+    for space in spaces:
+        twin = FormSpace(context=space.context, degree=space.degree, rows=dict(space.rows))
+        assert space == twin and hash(space) == hash(twin)
+        assert all(space.contains(Polynomial(CTX, row)) for row in space.rows.values())
+        assert "basis" not in vars(space) and "basis" not in vars(twin)
+    assert any(row[p] > 1 for space in spaces for p, row in space.rows.items())
+    for space in spaces:
+        assert space.basis == tuple(Polynomial(CTX, row) * Fraction(1, row[p])
+                                    for p, row in space.rows.items())
+        assert "basis" in vars(space)
+
+
+def test_a_space_is_frozen():
+    space = FormSpace.span([X1 + 2 * X2])
+    for name in [f.name for f in fields(space)] + ["basis"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(space, name, getattr(space, name))
+    assert [f.name for f in fields(space)] == ["context", "degree", "rows"]

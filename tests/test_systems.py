@@ -1,6 +1,8 @@
 """Symbol system axioms, prolongation, order and the saturation predicate."""
 
 import random
+from dataclasses import FrozenInstanceError
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from eulersym.cli import bundled_text
 from eulersym.spaces import kernel_of_map
 from eulersym.systems import structural_diagnostics
 from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
-                     dense_kernel_of_map, integer_frames, random_poly, segre_dense,
+                     dense_frame, dense_kernel_of_map, integer_frames, random_poly, segre_dense,
                      segre_monomial)
 
 CTX = context("x1", "x2", "x3")
@@ -140,6 +142,9 @@ PROLONG_CASES = {
     "segre-P1^3-dense": lambda: segre_dense(3, 11),
     "segre-P1^4-dense": lambda: segre_dense(4, 12),
     "full(2,3)": lambda: full_system(2, 3),
+    # pivot entries 2 and 4 in F^2, 8 or 2 in F^3
+    **{f"{name}-dense": lambda name=name: dense_frame(_bundled(name), name)
+       for name in ("epr.sys", "triple.sys")},
 }
 
 
@@ -148,6 +153,37 @@ def test_prolongation_matches_the_contraction_oracle(case):
     s = PROLONG_CASES[case]()
     for k in range(1, s.rank + 1):
         assert prolong(s.component(k)) == contraction_prolong(s.component(k))
+
+
+def _integer_span(seed):
+    """A seeded span of integer forms with entries in [-4, 4]; no system component."""
+    rng = random.Random(seed)
+    ctx = context(*(f"x{i + 1}" for i in range(rng.randint(2, 3))))
+    degree = rng.randint(1, 3)
+    monos = monomials_of_degree(ctx, degree)
+    forms = [Polynomial(ctx, {m: rng.randint(-4, 4) for m in monos})
+             for _ in range(rng.randint(1, len(monos) - 1))]
+    return FormSpace.span(forms, ctx, degree)
+
+
+SPAN_SEEDS = range(24)
+
+
+@pytest.mark.parametrize("seed", SPAN_SEEDS)
+def test_prolongation_of_an_integer_span_matches_the_contraction_oracle(seed):
+    space = _integer_span(seed)
+    assert prolong(space) == contraction_prolong(space)
+
+
+def _pivot_lcm(space):
+    return lcm(*(row[p] for p, row in space.rows.items()))
+
+
+def test_some_prolong_cases_have_pivot_entries_above_one():
+    # prolong scales by the lcm of the pivot entries; a case with lcm 1 cannot see it
+    systems = [PROLONG_CASES[case]() for case in sorted(PROLONG_CASES)]
+    assert max(_pivot_lcm(s.component(k)) for s in systems for k in range(1, s.rank + 1)) > 1
+    assert max(_pivot_lcm(_integer_span(seed)) for seed in SPAN_SEEDS) > 1
 
 
 def test_prolongation_is_the_largest_closed_extension():
@@ -330,3 +366,12 @@ def test_saturation_positive_cases():
         res = is_saturated(_bundled(name))
         assert res.saturated and res.degree2_matches and res.prolongation_exact
         assert res.diagnostics == ()
+
+
+def test_a_saturation_result_cannot_change_the_next_answer():
+    # the base ideal may be the system's own cached F^2 ideal, so it must not be writable
+    s = _bundled("triple.sys")
+    res = is_saturated(s)
+    with pytest.raises(FrozenInstanceError):
+        res.base_ideal.polys = ()
+    assert is_saturated(s) == res and res.saturated
