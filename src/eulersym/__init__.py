@@ -3,7 +3,7 @@ projective models they generate."""
 
 from .errors import (AlgebraError, ContextMismatchError, DegreeCapExceeded,
                      HomogeneityError, ImmersionError, InvalidSymbolSystem,
-                     ParseError, SaturationPreconditionError, TruncationError)
+                     ParseError, SaturationPreconditionError)
 from .groebner import (GroebnerBasis, buchberger, graded_component,
                        is_zero_dimensional, saturate_ideal)
 from .jets import (CartanReport, FFSystem, JetFiltration, Parametrization,
@@ -16,9 +16,8 @@ from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VarContext,
                    format_polynomial, translate)
 from .spaces import (FormSpace, kernel_of_map, monomials_of_degree,
                      vanishing_space)
-from .specfiles import (ParamFile, SymbolFile, format_symbol_file,
-                        parse_param_file, parse_polynomial, parse_symbol_file,
-                        system_from_file)
+from .specfiles import (SymbolFile, format_symbol_file, parse_param_file,
+                        parse_polynomial, parse_symbol_file, system_from_file)
 from .systems import (SaturationResult, SymbolSystem, assemble, from_polynomial,
                       full_system, is_saturated, order, prolong, validate)
 

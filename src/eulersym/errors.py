@@ -32,10 +32,6 @@ class ImmersionError(AlgebraError):
     """The chart coordinates are degenerate at the base point."""
 
 
-class TruncationError(AlgebraError):
-    """The requested jet truncation degree is too small to stabilize."""
-
-
 class DegreeCapExceeded(RuntimeError):
     """Basis completion hit the configured degree ceiling."""
 

@@ -178,9 +178,6 @@ class GroebnerBasis:
            degree_cap: int = DEFAULT_DEGREE_CAP) -> "GroebnerBasis":
         return cls(ctx, order, buchberger(gens, order, degree_cap))
 
-    def is_zero_ideal(self) -> bool:
-        return not self.polys
-
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].degree() == 0
 

@@ -5,13 +5,16 @@ Given coordinate functions c_1..c_M in parameters z_1..z_n, the span of
 With J the Jacobian of c_1..c_n at a, read off their derivatives, one
 affine substitution z -> J^(-1) z + a moves the point to the origin and
 gives the first n functions the standard linear parts, exactly; then the
-coefficient matrix is row-reduced with columns grouped by increasing
-degree.  Each reduced row vanishes to the exact order of its pivot
-column, and the degree-k leading terms of the order-k rows span the
-degree-k graded piece.
+coefficient matrix is row-reduced once, with columns grouped by
+increasing degree.  Each reduced row vanishes to the exact order of its
+pivot column, and the degree-k leading terms of the order-k rows are
+the canonical rows of the degree-k graded piece, read off as they stand.
+The elimination is exact and complete, so the filtration's length is
+computed from the input, never supplied.
 
 At a general base point those pieces form a symbol system; this module
-reports the closure diagnostics rather than assuming them.
+reports the closure diagnostics rather than assuming them.  A `.par`
+file parses straight to a `Parametrization` (`specfiles.parse_param_file`).
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sampling
-from .errors import AlgebraError, ContextMismatchError, ImmersionError, TruncationError
-from .poly import Polynomial, VarContext, evaluate, substitute
-from .spaces import FormSpace, echelon, monomials_of_degree, nullspace, rref
+from .errors import AlgebraError, ContextMismatchError, ImmersionError
+from .poly import GREVLEX, Polynomial, VarContext, evaluate, substitute
+from .spaces import FormSpace, _primitive, echelon, monomials_of_degree, nullspace, rref
 from .systems import structural_diagnostics
 
 
@@ -33,7 +36,6 @@ class Parametrization:
     context: VarContext
     coords: tuple[Polynomial, ...]
     base_point: tuple[Fraction, ...] | None = None
-    truncation_degree: int | None = None
 
     def __post_init__(self):
         if not self.coords:
@@ -72,10 +74,6 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         return None
     return [row[n:] for row in reduced]
-
-
-def _degree_part(p: Polynomial, d: int) -> Polynomial:
-    return Polynomial(p.context, {e: c for e, c in p.terms.items() if sum(e) == d})
 
 
 def jet_filtration(param: Parametrization,
@@ -121,13 +119,6 @@ def jet_filtration(param: Parametrization,
     for pc, row in sorted(basis.items()):
         terms = {columns[j]: Fraction(c, row[pc]) for j, c in sorted(row.items())}
         out.append((sum(columns[pc]), Polynomial._trusted(ctx, terms)))
-    cap = param.truncation_degree
-    if cap is not None:
-        worst = max(o for o, _ in out)
-        if worst > cap:
-            raise TruncationError(
-                f"truncation degree {cap} is too small: the filtration only "
-                f"stabilizes at degree {worst}")
     return JetFiltration(ctx, base, tuple(out))
 
 
@@ -159,16 +150,22 @@ class FFSystem:
 
 def extract_fundamental_forms(param: Parametrization,
                               base: Sequence | None = None) -> FFSystem:
-    """Leading terms of the jet filtration, graded by vanishing order."""
+    """Leading terms of the jet filtration, graded by vanishing order.
+
+    The filtration's rows come in ascending pivot column, its columns
+    ascend by degree and descend in grevlex within a degree, and each row
+    is zero at every other pivot.  So an order-o row's pivot is the
+    grevlex-largest monomial of its degree-o part, and those parts, each
+    positive at its pivot and zero at the other pivots, are already the
+    reduced echelon rows of G^o in FormSpace's order: cleared by
+    `_primitive`, they are its canonical rows, with no second elimination.
+    """
     filt = jet_filtration(param, base)
-    r = filt.max_order
-    buckets: dict[int, list[Polynomial]] = {}
-    for o, poly in filt.rows:
-        buckets.setdefault(o, []).append(_degree_part(poly, o))
-    components = [
-        FormSpace.span(buckets.get(d, []), filt.context, d)
-        for d in range(r + 1)
-    ]
+    pieces: list[dict] = [{} for _ in range(filt.max_order + 1)]
+    for o, row in filt.rows:
+        part = {m: c for m, c in row.terms.items() if sum(m) == o}
+        pieces[o][GREVLEX.max(part)] = _primitive(part)
+    components = [FormSpace(filt.context, d, rows) for d, rows in enumerate(pieces)]
     diagnostics = tuple(structural_diagnostics(filt.context, components))
     return FFSystem(filt.context, filt.base_point, tuple(components), diagnostics,
                     filt.dims)
@@ -213,7 +210,7 @@ def cartan_check(param: Parametrization, trials: int = 5, seed: int = 0) -> Cart
         base = sampling.generic_vector(rng, param.context.n)
         try:
             ff = extract_fundamental_forms(param, base)
-        except (ImmersionError, TruncationError):
+        except ImmersionError:
             skipped += 1
             continue
         entries.append(CartanEntry(

@@ -217,13 +217,6 @@ class Polynomial:
     def coefficient(self, expo: Monomial) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
 
-    def constant_value(self) -> Fraction:
-        zero = (0,) * self.context.n
-        for expo in self.terms:
-            if expo != zero:
-                raise ValueError(f"not a constant: {self}")
-        return self.terms.get(zero, Fraction(0))
-
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, Fraction]]:
         return [(m, self.terms[m]) for m in order.sorted_desc(self.terms)]
 

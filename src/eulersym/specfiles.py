@@ -10,7 +10,8 @@ System files:
 
 F^0 and F^1 are never written (the axioms force them) and a degree with
 no line is the zero component.  Parametrization files use `vars:`,
-`coords:` and an optional `at:` base point.  Polynomial terms are
+`coords:` and an optional `at:` base point, and parse straight to a
+`jets.Parametrization`.  Polynomial terms are
 joined by + or -, each term an optional rational coefficient times
 '*'-separated powers like x1^2.  Errors carry 1-based line and column.
 """
@@ -23,6 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ParseError
+from .jets import Parametrization
 from .poly import Polynomial, VarContext, format_polynomial
 from .systems import SymbolSystem, assemble
 
@@ -327,14 +329,7 @@ def _parse_rational_list(payload: str, lineno: int, col: int) -> tuple[Fraction,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParamFile:
-    context: VarContext
-    coords: tuple[Polynomial, ...]
-    base_point: tuple[Fraction, ...] | None
-
-
-def parse_param_file(text: str) -> ParamFile:
+def parse_param_file(text: str) -> Parametrization:
     ctx = None
     coords = None
     base = None
@@ -362,7 +357,7 @@ def parse_param_file(text: str) -> ParamFile:
         raise ParseError("missing coords line", 1, 1)
     if base is not None and len(base) != ctx.n:
         raise ParseError(f"base point needs {ctx.n} coordinates, got {len(base)}", 1, 1)
-    return ParamFile(ctx, coords, base)
+    return Parametrization(ctx, coords, base)
 
 
 def parse_point_file(text: str, n: int) -> list[tuple[Fraction, ...]]:

@@ -15,9 +15,10 @@ from eulersym import (GREVLEX, ContextMismatchError, DegreeCapExceeded, FormSpac
 from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
                                _monomial_quot, reduce_poly)
 from eulersym.model import EulerModel
-from eulersym.jets import Parametrization
+from eulersym.jets import FFSystem, Parametrization, jet_filtration
 from eulersym.poly import Monomial, _as_scalar, compose_linear, grevlex_key, translate
 from eulersym.spaces import nullspace, rref
+from eulersym.systems import structural_diagnostics
 from eulersym import sampling
 
 
@@ -145,7 +146,7 @@ def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Proje
                 value += comb(k, l) * sum(
                     fi * ci for fi, ci in zip(blocks[l], coords))
             value += k * evaluate(chain[k - 1], w)
-            value += t * chain[k].constant_value()
+            value += t * constant_value(chain[k])
             out.append(value)
     return ProjectivePoint(out)
 
@@ -292,6 +293,29 @@ def dense_jet_filtration(param: Parametrization, base: Sequence) -> list[tuple[i
     reduced, pivots = dense_rref([[p.coefficient(m) for m in columns] for p in polys])
     return [(sum(columns[pc]), Polynomial(ctx, {m: c for m, c in zip(columns, row) if c}))
             for row, pc in zip(reduced, pivots)]
+
+
+def span_fundamental_forms(param: Parametrization, base: Sequence | None = None) -> FFSystem:
+    """The graded pieces of the jet filtration, each spanned afresh.
+
+    The library's former `extract_fundamental_forms`: the degree-o part of
+    every order-o row, bucketed by degree, each bucket through
+    `FormSpace.span`; kept as an independent oracle for the pieces read
+    straight off the filtration's rows.
+    """
+    filt = jet_filtration(param, base)
+    r = filt.max_order
+    buckets: dict[int, list[Polynomial]] = {}
+    for o, poly in filt.rows:
+        buckets.setdefault(o, []).append(
+            Polynomial(poly.context, {e: c for e, c in poly.terms.items() if sum(e) == o}))
+    components = [
+        FormSpace.span(buckets.get(d, []), filt.context, d)
+        for d in range(r + 1)
+    ]
+    diagnostics = tuple(structural_diagnostics(filt.context, components))
+    return FFSystem(filt.context, filt.base_point, tuple(components), diagnostics,
+                    filt.dims)
 
 
 def _basis_vector(n: int, i: int) -> tuple[int, ...]:
@@ -778,8 +802,9 @@ def power_pullback(model: EulerModel, p: Polynomial) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # former library functions no library code calls: the directional derivative
-# that `contract` now inlines, full polarization, and the symbol system read
-# back off a model's chart functions; kept as test oracles
+# that `contract` now inlines, the value of a constant, the zero-ideal test,
+# full polarization, and the symbol system read back off a model's chart
+# functions; kept as test oracles
 
 def directional_derivative(p: Polynomial, v: Sequence) -> Polynomial:
     vals = [_as_scalar(c) for c in v]
@@ -794,6 +819,19 @@ def directional_derivative(p: Polynomial, v: Sequence) -> Polynomial:
     return out
 
 
+def constant_value(p: Polynomial) -> Fraction:
+    """The value of a constant polynomial; ValueError for any other."""
+    zero = (0,) * p.context.n
+    for expo in p.terms:
+        if expo != zero:
+            raise ValueError(f"not a constant: {p}")
+    return p.terms.get(zero, Fraction(0))
+
+
+def is_zero_ideal(gb: GroebnerBasis) -> bool:
+    return not gb.polys
+
+
 def polarize(p: Polynomial, vectors: Sequence[Sequence]) -> Fraction:
     """Full polarization: contract a degree-k form by exactly k vectors."""
     if p.is_zero():
@@ -804,7 +842,7 @@ def polarize(p: Polynomial, vectors: Sequence[Sequence]) -> Fraction:
     out = p
     for v in vectors:
         out = contract(out, v)
-    return out.constant_value()
+    return constant_value(out)
 
 
 def recover_symbols(model: EulerModel) -> SymbolSystem:

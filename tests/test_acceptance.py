@@ -46,8 +46,7 @@ def _bundled(name):
 
 
 def _param(name):
-    pf = parse_param_file(bundled_text(name))
-    return Parametrization(pf.context, pf.coords, base_point=pf.base_point)
+    return parse_param_file(bundled_text(name))
 
 
 def _criterion(num, label, checks):

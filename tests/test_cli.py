@@ -8,7 +8,9 @@ import pytest
 
 import eulersym.cli
 import eulersym.groebner
-from eulersym.cli import build_parser, main
+from eulersym import format_symbol_file, system_from_file
+from eulersym.cli import build_parser, bundled_text, main
+from helpers import dense_frame
 
 
 def run(capsys, *argv):
@@ -125,6 +127,34 @@ def test_curve_degrees(capsys):
     assert "[pass] min-degree: smallest sampled orbit degree 1, order 1" in out
 
 
+@pytest.mark.parametrize("name,lo", [("epr.sys", 3), ("triple.sys", 2)])
+def test_curve_degrees_in_a_dense_frame_report_a_miss(tmp_path, capsys, name, lo):
+    # the sampler zeroes coordinates of the input frame, so in a dense frame
+    # it misses a base locus that is not a coordinate subspace; the sampled
+    # minimum then stays inside [order, rank], which is no failed check
+    path = tmp_path / name
+    path.write_text(format_symbol_file(dense_frame(system_from_file(bundled_text(name)), 1)))
+    code, out, _ = run(capsys, "curve-degrees", str(path))
+    assert code == 0
+    assert "[fail]" not in out
+    assert "[pass] max-degree: largest sampled orbit degree 3, rank 3" in out
+    assert (f"[info] min-degree: smallest sampled orbit degree {lo}, order 1 "
+            "(sampling may have missed the base locus") in out
+
+
+@pytest.mark.parametrize("degree", [0, 4])
+def test_orbit_degrees_outside_order_and_rank_fail(monkeypatch, capsys, degree):
+    # every orbit degree lies in [order, rank] = [1, 3] for epr.sys
+    monkeypatch.setattr(eulersym.cli, "orbit_curve_degree", lambda model, w: degree)
+    code, out, _ = run(capsys, "curve-degrees", "epr.sys")
+    assert code == 1
+    assert f"[fail] max-degree: largest sampled orbit degree {degree}, rank 3" in out
+    assert f"[fail] min-degree: smallest sampled orbit degree {degree}, order 1" in out
+    code, out, _ = run(capsys, "report", "epr.sys")
+    assert code == 1
+    assert f"[fail] max-degree: largest sampled orbit degree {degree}, rank 3" in out
+
+
 def test_implicitize(capsys):
     code, out, _ = run(capsys, "implicitize", "quadric.sys", "--degree", "2")
     assert code == 0
@@ -149,8 +179,6 @@ def test_implicitize_verification_is_exact(capsys):
     ["cartan", "quadric.par", "--trials", "-2"],
     ["prolong", "epr.sys", "--degree", "-1"],
     ["prolong", "epr.sys", "--degree", "0"],
-    ["ff", "cubiccurve.par", "--degree", "-1"],
-    ["ff", "cubiccurve.par", "--degree", "0"],
     ["act-check", "veronese.sys", "--trials", "1000000"],
     ["curve-degrees", "epr.sys", "--trials", "10001"],
     ["cartan", "quadric.par", "--trials", "10001"],
@@ -161,6 +189,16 @@ def test_bad_counts_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+def test_ff_has_no_degree_option(capsys):
+    # the jet filtration is computed exactly and in full, so its length is
+    # read off the input; a truncation degree could only turn it into a failure
+    code, out, err = run(capsys, "ff", "quadric.par", "--degree", "3")
+    assert code == 2
+    assert out == ""
+    assert "error: unrecognized arguments: --degree 3" in err
     assert "Traceback" not in err
 
 
@@ -379,7 +417,7 @@ OPTIONS = {
     "act-check": ["-h", "--help", "--json", "file", "--trials", "--seed"],
     "curve-degrees": ["-h", "--help", "--json", "file", "--trials", "--seed"],
     "implicitize": ["-h", "--help", "--json", "file", "--degree"],
-    "ff": ["-h", "--help", "--json", "file", "--chart", "--at", "--degree"],
+    "ff": ["-h", "--help", "--json", "file", "--chart", "--at"],
     "cartan": ["-h", "--help", "--json", "file", "--chart", "--trials", "--seed"],
     "report": ["-h", "--help", "--json", "file", "--seed"],
     "examples": ["-h", "--help", "--json", "name"],

@@ -27,8 +27,8 @@ import helpers
 from eulersym.cli import bundled_text
 from eulersym.specfiles import system_from_file
 from helpers import (block_order, colon_by_variable_power, colon_saturate, elimination_saturate,
-                     intersect_ideals, pairset_buchberger, pairset_reduce_poly, random_poly,
-                     segre_dense, segre_monomial)
+                     intersect_ideals, is_zero_ideal, pairset_buchberger, pairset_reduce_poly,
+                     random_poly, segre_dense, segre_monomial)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
@@ -55,7 +55,7 @@ def test_unit_and_zero_ideals():
     one = GroebnerBasis.of([Polynomial.constant(CTX, 3)], CTX)
     assert one.is_unit_ideal()
     empty = GroebnerBasis.of([], CTX)
-    assert empty.is_zero_ideal()
+    assert is_zero_ideal(empty)
 
 
 def test_degree_cap_guard():

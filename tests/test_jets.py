@@ -1,6 +1,5 @@
 """Jet filtration, fundamental forms, and the general-point check."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from eulersym import (
     ImmersionError,
     Parametrization,
     Polynomial,
-    TruncationError,
     build_model,
     cartan_check,
     compose_linear,
@@ -24,7 +22,7 @@ from eulersym import sampling
 from eulersym.cli import bundled_text
 from eulersym.spaces import nullspace
 from eulersym.specfiles import parse_param_file
-from helpers import dense_jet_filtration, random_poly
+from helpers import dense_frame, dense_jet_filtration, random_poly, span_fundamental_forms
 
 BUNDLED_SYS = ("epr.sys", "quadric.sys", "rnc.sys", "triple.sys", "veronese.sys")
 
@@ -34,8 +32,7 @@ def _bundled(name):
 
 
 def _param(name):
-    pf = parse_param_file(bundled_text(name))
-    return Parametrization(pf.context, pf.coords, base_point=pf.base_point)
+    return parse_param_file(bundled_text(name))
 
 
 MOVES = {"quadric.par": ((2, 1), (1, 3)), "epr.sys": ((1, 2, 0), (0, 1, -1), (2, 0, 1))}
@@ -116,12 +113,6 @@ def test_too_few_coordinates_cannot_immerse():
         jet_filtration(Parametrization(ctx, (z1,)))
 
 
-def test_truncation_guard():
-    param = dataclasses.replace(_cubic(), truncation_degree=2)
-    with pytest.raises(TruncationError):
-        jet_filtration(param)
-
-
 def test_chart_extraction_reproduces_every_bundled_system():
     for name in BUNDLED_SYS:
         s = _bundled(name)
@@ -186,10 +177,9 @@ def test_jet_filtration_matches_the_dense_oracle(name, base):
     assert list(filt.rows) == dense_jet_filtration(param, at)
 
 
-@pytest.mark.parametrize("seed", range(36))
-def test_jet_filtration_matches_the_dense_oracle_at_seeded_points(seed):
-    # random coordinates at random base points; every third draw is made
-    # degenerate there, and must name the kernel of the translated linear parts
+def _seeded_parametrization(seed):
+    """Random coordinates at a random base point; every third draw is made
+    degenerate there."""
     rng = random.Random(seed)
     n = 1 + seed % 3
     ctx = context(*(f"z{i + 1}" for i in range(n)))
@@ -199,7 +189,14 @@ def test_jet_filtration_matches_the_dense_oracle_at_seeded_points(seed):
     if seed % 3 == 0:
         square = (Polynomial.variable(ctx, 0) - base[0]) ** 2
         coords[n - 1] = square + (2 * coords[0] if n > 1 else 1)
-    param = Parametrization(ctx, tuple(coords))
+    return Parametrization(ctx, tuple(coords)), base
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_jet_filtration_matches_the_dense_oracle_at_seeded_points(seed):
+    # a degenerate draw must name the kernel of the translated linear parts
+    param, base = _seeded_parametrization(seed)
+    ctx, coords, n = param.context, param.coords, param.context.n
     shifted = [translate(c, base) for c in coords[:n]]
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     kernel = nullspace([[c.coefficient(e) for e in units] for c in shifted], n)
@@ -210,3 +207,48 @@ def test_jet_filtration_matches_the_dense_oracle_at_seeded_points(seed):
         assert str(exc.value).endswith(f"flat directions: {directions}")
     else:
         assert list(jet_filtration(param, base).rows) == dense_jet_filtration(param, base)
+
+
+# the graded pieces read off the filtration's rows against the former
+# extraction, which spans each degree afresh; the layout compares pivots,
+# rows and entries in order, which is what a report prints
+
+def _layout(ffs):
+    return [[(p, list(row.items())) for p, row in c.rows.items()] for c in ffs.components]
+
+
+def _assert_extractions_agree(param, base):
+    got = extract_fundamental_forms(param, base)
+    want = span_fundamental_forms(param, base)
+    assert _layout(got) == _layout(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+@pytest.mark.parametrize("name", ["quadric.par", "cubiccurve.par"])
+def test_extraction_matches_the_span_oracle_on_bundled_parametrizations(name, seed):
+    param = _param(name)
+    base = None if seed is None else sampling.generic_vector(random.Random(seed),
+                                                             param.context.n)
+    _assert_extractions_agree(param, base)
+
+
+@pytest.mark.parametrize("frame", [None, 1, 2])
+@pytest.mark.parametrize("name", BUNDLED_SYS)
+def test_extraction_matches_the_span_oracle_on_model_charts(name, frame):
+    s = _bundled(name) if frame is None else dense_frame(_bundled(name), frame)
+    param = Parametrization(s.context, tuple(build_model(s).chart_functions()))
+    _assert_extractions_agree(param, None)
+    _assert_extractions_agree(param, sampling.vector(random.Random(frame or 0), s.context.n))
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_extraction_matches_the_span_oracle_at_seeded_points(seed):
+    param, base = _seeded_parametrization(seed)
+    try:
+        extract_fundamental_forms(param, base)
+    except ImmersionError:
+        with pytest.raises(ImmersionError):
+            span_fundamental_forms(param, base)
+    else:
+        _assert_extractions_agree(param, base)

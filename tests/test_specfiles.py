@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eulersym import (
+    Parametrization,
     ParseError,
     Polynomial,
     context,
@@ -109,6 +110,7 @@ def test_format_parse_round_trip_on_bundled_systems():
 
 def test_param_file():
     pf = parse_param_file(bundled_text("quadric.par"))
+    assert isinstance(pf, Parametrization)
     assert pf.context.names == ("z1", "z2")
     assert len(pf.coords) == 3
     assert pf.base_point is None
