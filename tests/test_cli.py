@@ -179,6 +179,8 @@ def test_implicitize_verification_is_exact(capsys):
     ["cartan", "quadric.par", "--trials", "-2"],
     ["prolong", "epr.sys", "--degree", "-1"],
     ["prolong", "epr.sys", "--degree", "0"],
+    ["curve-degrees", "epr.sys", "--trials", "ten"],
+    ["implicitize", "quadric.sys", "--degree", "2.5"],
     ["act-check", "veronese.sys", "--trials", "1000000"],
     ["curve-degrees", "epr.sys", "--trials", "10001"],
     ["cartan", "quadric.par", "--trials", "10001"],
