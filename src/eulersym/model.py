@@ -14,10 +14,11 @@ scaling; both are linear on the ambient coordinates.  The translation is
 for commuting nilpotent N_1..N_n, one per basis vector e_i.  N_i raises
 torus weight by one: it sends block k-1 to block k, and the row of the
 basis form b^k_j holds the echelon coordinates of the partial d_i b^k_j
-in F^(k-1).  Every SymbolSystem comes out of `validate`, which certified
-that membership, so those coordinates are read off as the coefficients
-of d_i b^k_j at the pivots of F^(k-1), with no reduction.  Block 0 is
-F^0 = <1>, so the t and w blocks need no special case, and
+in F^(k-1).  Every SymbolSystem comes out of `validate`, whose closure
+proof computed exactly those coordinates, in integers, for the partials
+of F^k's integer rows, so the model reads them off that certificate
+(`SymbolSystem.contraction_table`), with no second reduction.  Block 0
+is F^0 = <1>, so the t and w blocks need no special case, and
 N_v^(r+1) = 0 makes the exponential a finite sum.
 
 `group_act` evaluates that sum in integers on the point's primitive
@@ -120,24 +121,21 @@ class EulerModel:
         """(q, M_1..M_n) with N_i = M_i / q and q the common denominator of all entries.
 
         Each M_i holds one row of (column, entry) pairs per coordinate.  The
-        row of b^k_j holds q times the coefficients of d_i b^k_j at the pivots
-        of F^(k-1): its echelon coordinates, because `validate` certified that
-        d_i b^k_j lies in F^(k-1) and each echelon row is 1 at its own pivot
-        and 0 at the others.  Built on the first action, so models that never
-        act pay nothing.
+        row of b^k_j = R / L, R row j of F^k's `rows` with pivot entry L, holds
+        c / L for each echelon coordinate c of d_i R in F^(k-1), read off the
+        closure certificate `validate` left in `contraction_table`.  So q is
+        the lcm of the L / gcd(c, L) and the entry is c q / L.  Built on the
+        first action, so models that never act pay nothing.
         """
         mats = [[()] for _ in range(self.system.context.n)]  # nothing maps into block 0
-        for k in range(1, self.rank + 1):
-            pivots = self.system.component(k - 1).pivots
+        for k, partials in enumerate(self.system.contraction_table, 1):
             start = self.block_bounds[k - 1][0]
-            for b in self.system.component(k).basis:
-                for i, rows in enumerate(mats):
-                    d = b.derivative(i).terms
-                    rows.append(tuple((start + j, d[p]) for j, p in enumerate(pivots) if p in d))
-        q = lcm(*(e.denominator for rows in mats for row in rows for _, e in row))
-        return q, tuple(
-            tuple(tuple((c, e.numerator * (q // e.denominator)) for c, e in row) for row in rows)
-            for rows in mats)
+            for (p, row), coords in zip(self.system.component(k).rows.items(), partials):
+                for rows, cs in zip(mats, coords):
+                    rows.append(tuple((start + j, c, row[p]) for j, c in enumerate(cs) if c))
+        q = lcm(*(lead // gcd(c, lead) for rows in mats for row in rows for _, c, lead in row))
+        return q, tuple(tuple(tuple((col, c * q // lead) for col, c, lead in row) for row in rows)
+                        for rows in mats)
 
     @cached_property
     def integer_forms(self) -> tuple[int, tuple]:

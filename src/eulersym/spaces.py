@@ -9,10 +9,11 @@ A space is given either by spanning forms (`FormSpace.span`) or by
 linear conditions (`kernel_of_map`, which `vanishing_space`, `prolong`
 and `implicitize` call).  Both build sparse rows {column: value} straight
 from polynomial terms and take one fraction-free `echelon`, the only
-elimination loop.  Membership clears a form to a primitive integer row
-and eliminates it against the stored rows on that same loop, so it runs
-in integers.  `rref` and `nullspace` are the dense wrappers over the
-same elimination and kernel read-off.
+elimination loop.  Membership has one rule, `coordinates_of`: an integer
+row lies in the space when it eliminates to zero against the stored rows
+on that same loop, and then its entries at the pivots are its echelon
+coordinates.  `contains` clears a form to that row first.  `rref` and
+`nullspace` are the dense wrappers over the same elimination and kernel.
 """
 
 from __future__ import annotations
@@ -204,10 +205,6 @@ class FormSpace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def pivots(self) -> tuple[Monomial, ...]:
-        return tuple(self.rows)
-
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -238,15 +235,17 @@ class FormSpace:
         return Polynomial._trusted(self.context, out)
 
     def contains(self, p: Polynomial) -> bool:
-        """Whether p's primitive integer row eliminates to zero against `rows`."""
+        """Whether p, cleared to a primitive integer row, lies in the space."""
         self._accepts(p)
-        return not _reduced(_primitive(p.terms), self.rows)
+        return self.coordinates_of(_primitive(p.terms)) is not None
 
-    def coordinates_of(self, p: Polynomial) -> list[Fraction] | None:
-        """Coefficients of p against the echelon basis, or None if outside."""
-        if not self.contains(p):
+    def coordinates_of(self, row: Mapping[Monomial, int]) -> list[int] | None:
+        """Echelon coordinates of an integer row {monomial: nonzero int}, or None if
+        it does not eliminate to zero against `rows`.  Each basis row is 1 at its
+        own pivot and 0 at the others, so they are the row's entries at the pivots."""
+        if _reduced(row, self.rows):
             return None
-        return [p.coefficient(pivot) for pivot in self.rows]
+        return [row.get(pivot, 0) for pivot in self.rows]
 
     def __hash__(self):
         return hash((self.context, self.degree, frozenset(self.rows)))  # equal spaces share pivots

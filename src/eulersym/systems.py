@@ -5,7 +5,9 @@ forms, requires F^r != 0, and demands that contracting any member of
 F^k by a basis vector lands in F^(k-1).  Closure is linear in the
 vector, so checking the basis vectors e_i settles it for all of W.
 On degree-k forms the contraction by e_i is the partial d_i scaled by
-1/k, and membership is scale-invariant, so closure is checked with d_i.
+1/k, and membership is scale-invariant, so closure is checked with d_i
+on F^k's integer rows.  The echelon coordinates each test returns are
+kept as the contraction table, which the model's nilpotents read.
 
 Beyond validation this module computes the prolongation of a component,
 systems generated by a single form, the order (how far the base loci
@@ -31,13 +33,15 @@ from .spaces import FormSpace, kernel_of_map, monomials_of_degree
 class SymbolSystem:
     """A certified system: every instance comes out of `validate`.
 
-    Code downstream relies on that: `EulerModel.integer_nilpotents` reads
-    the echelon coordinates of each d_i b^k_j in F^(k-1) off the pivots
-    without re-proving that it lies there.
+    `contraction_table` is validate's closure certificate, in integers:
+    entry [k-1][j][i] holds the echelon coordinates in F^(k-1) of d_i R,
+    with R row j of F^k's `rows`.  `EulerModel.integer_nilpotents` reads
+    the translation action off it, with no second membership test.
     """
 
     context: VarContext
     components: tuple[FormSpace, ...]  # indexed by degree, 0..rank
+    contraction_table: tuple = field(repr=False, compare=False)
     _ideals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -89,42 +93,52 @@ class SymbolSystem:
 
 def structural_diagnostics(ctx: VarContext, components: Sequence[FormSpace]) -> list[str]:
     """All axiom violations of a candidate component list, as messages."""
+    return _certify(ctx, components)[0]
+
+
+def _certify(ctx: VarContext, components: Sequence[FormSpace]) -> tuple[list[str], tuple]:
+    """(violations, contraction table).  d_i of a row R of F^k is the integer row
+    {m - e_i: m_i c}; `coordinates_of` tests it against F^(k-1) and returns its
+    echelon coordinates.  Fraction forms are built only for a message."""
     out = []
     if len(components) < 2:
         out.append(f"need components for degrees 0..r with r >= 1, got {len(components)}")
-        return out
+        return out, ()
     r = len(components) - 1
     for k, comp in enumerate(components):
         if comp.context != ctx:
             out.append(f"component {k} lives over variables ({comp.context}), expected ({ctx})")
-            return out
+            return out, ()
         if comp.degree != k:
             out.append(f"component {k} holds degree-{comp.degree} forms")
-            return out
+            return out, ()
     if components[0] != FormSpace.full(ctx, 0):
         out.append("F^0 must be exactly the constants")
     if not components[1].is_full():
         out.append(f"F^1 must be all linear forms (dim {ctx.n}), got dim {components[1].dim}")
     if components[r].is_zero():
         out.append(f"top component F^{r} is zero; the rank is overstated")
-    for k in range(1, r + 1):
-        lower = components[k - 1]
-        for phi in components[k].basis:
-            for i in range(ctx.n):
-                if not lower.contains(phi.derivative(i)):
-                    out.append(
-                        f"F^{k} is not closed under contraction: "
-                        f"contracting {phi} by e{i + 1} gives "
-                        f"{phi.derivative(i) * Fraction(1, k)}, outside F^{k - 1}")
-    return out
+    table = tuple(  # [k - 1][j][i]: coordinates of d_i of row j of F^k, None if outside
+        tuple(tuple(components[k - 1].coordinates_of(
+            {m[:i] + (m[i] - 1,) + m[i + 1:]: m[i] * c for m, c in row.items() if m[i]})
+            for i in range(ctx.n)) for row in components[k].rows.values())
+        for k in range(1, r + 1))
+    for k, rows in enumerate(table, 1):
+        for j, i in ((j, i) for j, cs in enumerate(rows) for i, c in enumerate(cs) if c is None):
+            phi = components[k].basis[j]
+            out.append(
+                f"F^{k} is not closed under contraction: "
+                f"contracting {phi} by e{i + 1} gives "
+                f"{phi.derivative(i) * Fraction(1, k)}, outside F^{k - 1}")
+    return out, table
 
 
 def validate(ctx: VarContext, components: Sequence[FormSpace]) -> SymbolSystem:
     """Certify a candidate component list, or raise with all violations."""
-    problems = structural_diagnostics(ctx, components)
+    problems, table = _certify(ctx, components)
     if problems:
         raise InvalidSymbolSystem(problems)
-    return SymbolSystem(ctx, tuple(components))
+    return SymbolSystem(ctx, tuple(components), table)
 
 
 def assemble(ctx: VarContext, rank: int, graded: Mapping[int, Sequence[Polynomial]]) -> SymbolSystem:

@@ -139,7 +139,7 @@ def chain_group_act(model: EulerModel, v: Sequence, z: ProjectivePoint) -> Proje
                 chain.append(contract(chain[-1], v))
             value = Fraction(0)
             for l in range(2, k + 1):
-                coords = model.system.component(l).coordinates_of(chain[k - l])
+                coords = loop_coordinates_of(model.system.component(l), chain[k - l])
                 if coords is None:
                     raise AssertionError(
                         "closure violated: contraction left its component")
@@ -356,7 +356,7 @@ def loop_reduce(space: FormSpace, p: Polynomial) -> Polynomial:
     """Remainder of p after subtracting its echelon-basis projection."""
     space._accepts(p)
     out = p
-    for pivot, row in zip(space.pivots, space.basis):
+    for pivot, row in zip(space.rows, space.basis):
         c = out.coefficient(pivot)
         if c:
             out = out - row * c
@@ -368,7 +368,7 @@ def loop_coordinates_of(space: FormSpace, p: Polynomial) -> list[Fraction] | Non
     space._accepts(p)
     out = p
     coords = []
-    for pivot, row in zip(space.pivots, space.basis):
+    for pivot, row in zip(space.rows, space.basis):
         c = out.coefficient(pivot)
         coords.append(c)
         if c:

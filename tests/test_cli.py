@@ -75,11 +75,21 @@ def test_saturated_exit_codes(capsys):
     assert "order 2" in out
 
 
+# explicit ids: adding or removing a row renames no other case
 @pytest.mark.parametrize("argv,expected", [
-    (["validate"], 0), (["prolong"], 0), (["order"], 0), (["baselocus"], 0),
-    (["saturated"], 1), (["model"], 0), (["act-check"], 0), (["curve-degrees"], 0),
-    (["implicitize", "--degree", "2"], 0), (["report"], 0),
-    (["ff", "--chart"], 0), (["cartan", "--chart"], 0)])
+    pytest.param(["validate"], 0, id="argv0-0"),
+    pytest.param(["prolong"], 0, id="argv1-0"),
+    pytest.param(["order"], 0, id="argv2-0"),
+    pytest.param(["baselocus"], 0, id="argv3-0"),
+    pytest.param(["saturated"], 1, id="argv4-1"),
+    pytest.param(["model"], 0, id="argv5-0"),
+    pytest.param(["act-check"], 0, id="argv6-0"),
+    pytest.param(["curve-degrees"], 0, id="argv7-0"),
+    pytest.param(["implicitize", "--degree", "2"], 0, id="argv8-0"),
+    pytest.param(["report"], 0, id="argv9-0"),
+    pytest.param(["ff", "--chart"], 0, id="argv10-0"),
+    pytest.param(["cartan", "--chart"], 0, id="argv11-0"),
+])
 def test_rank_one_system(tmp_path, capsys, argv, expected):
     # a valid system of order 1 whose F^2 is zero: saturation is undefined
     path = tmp_path / "line.sys"
@@ -170,21 +180,21 @@ def test_implicitize_verification_is_exact(capsys):
             "to the zero polynomial") in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["implicitize", "quadric.sys", "--degree", "-1"],
-    ["act-check", "quadric.sys", "--trials", "-1"],
-    ["act-check", "quadric.sys", "--trials", "0"],
-    ["curve-degrees", "epr.sys", "--trials", "0"],
-    ["cartan", "quadric.par", "--trials", "0"],
-    ["cartan", "quadric.par", "--trials", "-2"],
-    ["prolong", "epr.sys", "--degree", "-1"],
-    ["prolong", "epr.sys", "--degree", "0"],
-    ["curve-degrees", "epr.sys", "--trials", "ten"],
-    ["implicitize", "quadric.sys", "--degree", "2.5"],
-    ["act-check", "veronese.sys", "--trials", "1000000"],
-    ["curve-degrees", "epr.sys", "--trials", "10001"],
-    ["cartan", "quadric.par", "--trials", "10001"],
-    ["cartan", "quadric.par", "--trials", "9" * 5000],
+@pytest.mark.parametrize("argv", [  # explicit ids, as above
+    pytest.param(["implicitize", "quadric.sys", "--degree", "-1"], id="argv0"),
+    pytest.param(["act-check", "quadric.sys", "--trials", "-1"], id="argv1"),
+    pytest.param(["act-check", "quadric.sys", "--trials", "0"], id="argv2"),
+    pytest.param(["curve-degrees", "epr.sys", "--trials", "0"], id="argv3"),
+    pytest.param(["cartan", "quadric.par", "--trials", "0"], id="argv4"),
+    pytest.param(["cartan", "quadric.par", "--trials", "-2"], id="argv5"),
+    pytest.param(["prolong", "epr.sys", "--degree", "-1"], id="argv6"),
+    pytest.param(["prolong", "epr.sys", "--degree", "0"], id="argv7"),
+    pytest.param(["curve-degrees", "epr.sys", "--trials", "ten"], id="argv8"),
+    pytest.param(["implicitize", "quadric.sys", "--degree", "2.5"], id="argv9"),
+    pytest.param(["act-check", "veronese.sys", "--trials", "1000000"], id="argv10"),
+    pytest.param(["curve-degrees", "epr.sys", "--trials", "10001"], id="argv11"),
+    pytest.param(["cartan", "quadric.par", "--trials", "10001"], id="argv12"),
+    pytest.param(["cartan", "quadric.par", "--trials", "9" * 5000], id="argv13"),
 ])
 def test_bad_counts_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

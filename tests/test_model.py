@@ -21,6 +21,7 @@ from eulersym import (
     phi_eval,
     pullback,
     system_from_file,
+    validate,
 )
 from eulersym import sampling
 from eulersym.cli import bundled_text
@@ -296,10 +297,10 @@ def test_nilpotents_match_the_contraction_oracle(name, frame):
 
 def test_acting_does_not_reprove_closure(monkeypatch):
     # validation certified every d_i b^k_j in F^(k-1); the model reads the
-    # echelon coordinates off the pivots instead of reducing again
+    # echelon coordinates off that certificate instead of reducing again
     systems = [_bundled("epr.sys"), full_system(2, 3)]
     calls = []
-    for name in ("reduce", "contains"):  # `coordinates_of` goes through `contains`
+    for name in ("reduce", "contains", "coordinates_of"):
         method = getattr(FormSpace, name)
         monkeypatch.setattr(FormSpace, name,
                             lambda self, p, method=method: calls.append(p) or method(self, p))
@@ -308,6 +309,24 @@ def test_acting_does_not_reprove_closure(monkeypatch):
         n = system.context.n
         group_act(model, (1,) * n, phi_eval(model, 1, (2,) * n))
     assert calls == []
+
+
+@pytest.mark.parametrize("name,frame", [("segre_4_3", "shipped"), ("epr.sys", "dense")])
+def test_the_certified_path_builds_no_fraction_form(monkeypatch, name, frame):
+    # validate proves closure on the integer rows and the model acts off that
+    # certificate: no component builds its basis view, no partial is a Polynomial
+    source = _system(name, frame)
+    components = [FormSpace(c.context, c.degree, c.rows) for c in source.components]
+    calls, derivative = [], Polynomial.derivative
+    monkeypatch.setattr(Polynomial, "derivative",
+                        lambda self, i: calls.append(i) or derivative(self, i))
+    model = build_model(validate(source.context, components))
+    n = source.context.n
+    z = phi_eval(model, Fraction(2, 3), [Fraction(i + 1, 5 - i) for i in range(n)])
+    moved = group_act(model, [Fraction(1 - 2 * i, 3) for i in range(n)], z)
+    assert euler_act(model, Fraction(-3, 2), moved) != moved
+    assert orbit_curve_degree(model, [1] * n) >= 1
+    assert calls == [] and not any("basis" in vars(c) for c in components)
 
 
 def _dense(model, mat):

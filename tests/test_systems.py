@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -32,8 +33,9 @@ import eulersym.systems
 from eulersym.cli import bundled_text
 from eulersym.spaces import kernel_of_map
 from eulersym.systems import structural_diagnostics
-from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_prolong,
-                     dense_frame, dense_kernel_of_map, integer_frames, random_poly, segre_dense,
+from helpers import (contraction_diagnostics, contraction_from_polynomial, contraction_nilpotents,
+                     contraction_prolong, dense_frame, dense_kernel_of_map, fraction_nilpotents,
+                     integer_frames, loop_coordinates_of, random_poly, segre_dense,
                      segre_monomial)
 
 CTX = context("x1", "x2", "x3")
@@ -133,7 +135,7 @@ def test_segre_prolongation_kernels_match_the_dense_kernel(n, frame, monkeypatch
         dense = {m: [[image.get(label, 0) for label in labels]] for m, image in images.items()}
         oracle = dense_kernel_of_map(ctx, degree, dense)
         assert kernel == oracle
-        assert kernel.basis == oracle.basis and kernel.pivots == oracle.pivots
+        assert kernel.basis == oracle.basis and list(kernel.rows) == list(oracle.rows)
 
 
 PROLONG_CASES = {
@@ -272,6 +274,31 @@ def test_validate_messages_match_the_contraction_oracle_in_dense_frames(p, data)
     except InvalidSymbolSystem as exc:
         messages = list(exc.diagnostics)
     assert messages == contraction_diagnostics(s.context, cut)
+
+
+def _assert_table_matches_the_loop_oracle(s):
+    # entry c for row R of F^k, pivot entry L: c / L is a coordinate of d_i (R / L)
+    for k, partials in enumerate(s.contraction_table, 1):
+        lower = s.component(k - 1)
+        for (pivot, row), coords in zip(s.component(k).rows.items(), partials):
+            b = Polynomial(s.context, row) * Fraction(1, row[pivot])
+            for i, cs in enumerate(coords):
+                assert [Fraction(c, row[pivot]) for c in cs] == \
+                    loop_coordinates_of(lower, b.derivative(i))
+    model = build_model(s)
+    assert fraction_nilpotents(model) == contraction_nilpotents(model)
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTIC_CASES))
+def test_contraction_table_matches_the_loop_oracle(case):
+    _assert_table_matches_the_loop_oracle(DIAGNOSTIC_CASES[case]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(framed_forms())
+def test_contraction_table_matches_the_loop_oracle_in_dense_frames(p):
+    if not p.is_zero():
+        _assert_table_matches_the_loop_oracle(from_polynomial(p))
 
 
 def _structure(s):
