@@ -33,7 +33,7 @@ class ImmersionError(AlgebraError):
 
 
 class DegreeCapExceeded(RuntimeError):
-    """Basis completion hit the configured degree ceiling."""
+    """A basis completion met an S-pair above `groebner.DEGREE_CAP`."""
 
 
 class ParseError(ValueError):

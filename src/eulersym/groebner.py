@@ -2,8 +2,8 @@
 
 Desk-scale only: ideals here have a handful of generators in at most a
 few variables.  Pair selection is by minimal lcm degree, with the
-coprime and chain criteria; a configurable degree cap turns runaway
-completions into a loud error instead of a hang.
+coprime and chain criteria; past `DEGREE_CAP` a completion raises
+instead of hanging.  The ideal operations take a reduced `GroebnerBasis`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from itertools import count
 from operator import add
 from typing import Sequence
 
-from .errors import DegreeCapExceeded
+from .errors import ContextMismatchError, DegreeCapExceeded
 from .poly import GREVLEX, MonomialOrder, Monomial, Polynomial, VarContext, compose_linear
 from .spaces import FormSpace, monomials_of_degree
 
-DEFAULT_DEGREE_CAP = 30
+DEGREE_CAP = 30  # no S-pair of higher degree is reduced
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
@@ -30,10 +30,6 @@ def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
     m = order.max(p.terms)
     object.__setattr__(p, "_lead", (order, m))
     return m
-
-
-def leading_coefficient(p: Polynomial, order: MonomialOrder) -> Fraction:
-    return p.terms[leading_monomial(p, order)]
 
 
 def _monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -91,13 +87,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
             - g * Polynomial.from_monomial(ctx, _monomial_quot(lcm, gm), 1 / gc))
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-               degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by gens."""
     basis = []
     for g in sorted((g for g in gens if not g.is_zero()),
                     key=lambda p: order.key(leading_monomial(p, order))):
-        monic = g * (1 / leading_coefficient(g, order))
+        monic = g * (1 / g.terms[leading_monomial(g, order)])
         if monic not in basis:
             basis.append(monic)
     lms = [leading_monomial(g, order) for g in basis]
@@ -128,10 +123,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         )
         if chained:
             continue
-        if sum(lcm) > degree_cap:
+        if sum(lcm) > DEGREE_CAP:
             raise DegreeCapExceeded(
-                f"S-pair degree {sum(lcm)} exceeds the cap {degree_cap}; "
-                "raise degree_cap if this ideal is really wanted")
+                f"S-pair degree {sum(lcm)} exceeds the cap {DEGREE_CAP}; "
+                "raise groebner.DEGREE_CAP if this ideal is really wanted")
         rem = reduce_poly(s_polynomial(basis[i], basis[j], order), basis, order)
         if rem.is_zero():
             continue
@@ -171,15 +166,15 @@ class GroebnerBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))  # `buchberger` returns a list
+        for p in self.polys:
+            if p.context != self.context:
+                raise ContextMismatchError(
+                    f"incompatible variable lists: ({p.context}) vs ({self.context})")
 
     @classmethod
     def of(cls, gens: Sequence[Polynomial], ctx: VarContext,
-           order: MonomialOrder = GREVLEX,
-           degree_cap: int = DEFAULT_DEGREE_CAP) -> "GroebnerBasis":
-        return cls(ctx, order, buchberger(gens, order, degree_cap))
-
-    def is_unit_ideal(self) -> bool:
-        return len(self.polys) == 1 and self.polys[0].degree() == 0
+           order: MonomialOrder = GREVLEX) -> "GroebnerBasis":
+        return cls(ctx, order, buchberger(gens, order))
 
     def __repr__(self):
         gens = ", ".join(str(p) for p in self.polys) or "0"
@@ -195,9 +190,8 @@ def _in_monomial_saturation(u: Monomial, lms: Sequence[Monomial]) -> bool:
                for i in range(len(u)))
 
 
-def saturate_ideal(gens: Sequence[Polynomial] | GroebnerBasis,
-                   degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
-    """Saturation of a homogeneous ideal by the irrelevant ideal m = (x1..xn).
+def saturate_ideal(ideal: GroebnerBasis) -> GroebnerBasis:
+    """Saturation by m = (x1..xn) of a homogeneous ideal, given as its grevlex basis.
 
     For l = l_j = sum_i j^i x_i, j = 1, 2, ..., take the grevlex basis G of
     I in coordinates y with l = y_n.  G divided by powers of y_n is a basis
@@ -206,20 +200,16 @@ def saturate_ideal(gens: Sequence[Polynomial] | GroebnerBasis,
     finite length, iff M'/M does (Macaulay: an ideal and its initial ideal
     share a Hilbert function), iff M' lies in M : m^inf, a finite test on
     exponents.  Only finitely many l_j lie in the span of an associated
-    prime, so the loop ends.  One Buchberger run per l_j and one for the
-    reduced basis of J, none when J = I and `gens` is its grevlex GroebnerBasis
-    already; the former test against all n colons I : x_i^inf ran these and
+    prime, so the loop ends.  One Buchberger run per l_j, and one for J's
+    basis unless J = I: the former test against all n colons ran these and
     more, so the degree cap fires only where it fired before.
     """
-    done = gens if isinstance(gens, GroebnerBasis) and gens.order is GREVLEX else None
-    polys = gens.polys if isinstance(gens, GroebnerBasis) else gens
-    gens = [g for g in polys if not g.is_zero()]
+    if ideal.order is not GREVLEX:
+        raise ValueError(f"saturation needs a grevlex basis, got {ideal.order.name}")
+    ctx, gens = ideal.context, ideal.polys
     if not gens:
         raise ValueError("saturation of the zero ideal is not meaningful here")
-    ctx = gens[0].context
     for g in gens:
-        if g.context != ctx:
-            raise ValueError("generators live over different contexts")
         g.homogeneous_degree()  # raises HomogeneityError when inhomogeneous
     n = ctx.n
     for j in count(1):
@@ -227,28 +217,22 @@ def saturate_ideal(gens: Sequence[Polynomial] | GroebnerBasis,
         # x = A y makes l the last coordinate y_n, and y = B x undoes it
         B = [[Fraction(int(a == b)) for b in range(n)] for a in range(n - 1)] + [ell]
         A = B[:-1] + [[-c / ell[-1] for c in ell[:-1]] + [1 / ell[-1]]]
-        G = buchberger([compose_linear(g, A) for g in gens], GREVLEX, degree_cap)
+        G = buchberger([compose_linear(g, A) for g in gens])
         lms = [leading_monomial(g, GREVLEX) for g in G]
         if not any(m[-1] for m in lms):
-            return done or GroebnerBasis(ctx, GREVLEX, buchberger(gens, GREVLEX, degree_cap))
+            return ideal
         if all(_in_monomial_saturation(m[:-1] + (0,), lms) for m in lms if m[-1]):
             # grevlex: y_n has its least exponent in a homogeneous g's leading term
             J = [compose_linear(Polynomial._trusted(ctx, {e[:-1] + (e[-1] - m[-1],): c
                                                           for e, c in g.terms.items()}), B)
                  for g, m in zip(G, lms)]
-            return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX, degree_cap))
+            return GroebnerBasis.of(J, ctx)
 
 
-def is_zero_dimensional(ideal: FormSpace | GroebnerBasis,
-                        degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """Whether the forms in a space, or a Groebner basis, cut out the empty set in PW.
-
-    A space is completed in grevlex first.  Structure test on the reduced
-    basis: the irrelevant ideal is contained in the radical exactly when
-    every variable shows up as a pure power (or 1) among the leading monomials.
-    """
-    if isinstance(ideal, FormSpace):
-        ideal = GroebnerBasis.of(list(ideal.basis), ideal.context, GREVLEX, degree_cap)
+def is_zero_dimensional(ideal: GroebnerBasis) -> bool:
+    """Whether a reduced basis cuts out the empty set in PW: the irrelevant
+    ideal lies in the radical exactly when every variable shows up as a
+    pure power (or 1) among the leading monomials."""
     lms = [leading_monomial(g, ideal.order) for g in ideal.polys]
     return bool(lms) and all(any(sum(m) == m[i] for m in lms) for i in range(ideal.context.n))
 
@@ -256,8 +240,6 @@ def is_zero_dimensional(ideal: FormSpace | GroebnerBasis,
 def graded_component(gb: GroebnerBasis, degree: int) -> FormSpace:
     """Degree-d slice of a homogeneous ideal, as a FormSpace."""
     ctx = gb.context
-    if gb.is_unit_ideal():
-        return FormSpace.full(ctx, degree)
     polys = []
     for g in gb.polys:
         d = g.homogeneous_degree()

@@ -12,8 +12,8 @@ from eulersym import (GREVLEX, ContextMismatchError, DegreeCapExceeded, FormSpac
                       MonomialOrder, Polynomial, ProjectivePoint, SymbolSystem, VarContext,
                       assemble, buchberger, context, contract, evaluate, from_polynomial,
                       monomials_of_degree, phi_eval)
-from eulersym.groebner import (DEFAULT_DEGREE_CAP, _monomial_divides, _monomial_lcm,
-                               _monomial_quot, reduce_poly)
+from eulersym.groebner import (DEGREE_CAP, _monomial_divides, _monomial_lcm, _monomial_quot,
+                               reduce_poly)
 from eulersym.model import EulerModel
 from eulersym.jets import FFSystem, Parametrization, jet_filtration
 from eulersym.poly import Monomial, _as_scalar, compose_linear, grevlex_key, translate
@@ -590,20 +590,19 @@ def _drop_first(p: Polynomial, base: VarContext) -> Polynomial | None:
     return Polynomial(base, out)
 
 
-def _eliminate_first(gens_ext: list[Polynomial], ext: VarContext, base: VarContext,
-                     degree_cap: int) -> list[Polynomial]:
+def _eliminate_first(gens_ext: list[Polynomial], ext: VarContext,
+                     base: VarContext) -> list[Polynomial]:
     """Intersect the ideal with the subring omitting the first variable."""
-    G = buchberger(gens_ext, block_order(1), degree_cap)
+    G = buchberger(gens_ext, block_order(1))
     kept = []
     for g in G:
         low = _drop_first(g, base)
         if low is not None:
             kept.append(low)
-    return buchberger(kept, GREVLEX, degree_cap)
+    return buchberger(kept, GREVLEX)
 
 
-def colon_by_variable_power(gens: Sequence[Polynomial], var_index: int,
-                            degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
+def colon_by_variable_power(gens: Sequence[Polynomial], var_index: int) -> list[Polynomial]:
     """Generators of I : x_i^infinity, by eliminating y from I + (1 - y*x_i)."""
     if not gens:
         return []
@@ -613,11 +612,11 @@ def colon_by_variable_power(gens: Sequence[Polynomial], var_index: int,
     xi = Polynomial.variable(ext, var_index + 1)
     y = Polynomial.variable(ext, 0)
     lifted.append(Polynomial.constant(ext, 1) - y * xi)
-    return _eliminate_first(lifted, ext, ctx, degree_cap)
+    return _eliminate_first(lifted, ext, ctx)
 
 
-def intersect_ideals(a: Sequence[Polynomial], b: Sequence[Polynomial], ctx: VarContext,
-                     degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
+def intersect_ideals(a: Sequence[Polynomial], b: Sequence[Polynomial],
+                     ctx: VarContext) -> list[Polynomial]:
     """Generators of the ideal intersection, via t*I + (1-t)*J and elimination."""
     if not a or not b:
         return []
@@ -625,11 +624,10 @@ def intersect_ideals(a: Sequence[Polynomial], b: Sequence[Polynomial], ctx: VarC
     t = Polynomial.variable(ext, 0)
     one_minus_t = Polynomial.constant(ext, 1) - t
     gens = [t * _lift(f, ext) for f in a] + [one_minus_t * _lift(g, ext) for g in b]
-    return _eliminate_first(gens, ext, ctx, degree_cap)
+    return _eliminate_first(gens, ext, ctx)
 
 
-def elimination_saturate(gens: Sequence[Polynomial],
-                         degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+def elimination_saturate(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """Saturation of a homogeneous ideal by the irrelevant ideal (x1..xn).
 
     Computed as the intersection over the variables of the per-variable
@@ -644,7 +642,7 @@ def elimination_saturate(gens: Sequence[Polynomial],
         if g.context != ctx:
             raise ValueError("generators live over different contexts")
         g.homogeneous_degree()  # raises HomogeneityError when inhomogeneous
-    parts = [colon_by_variable_power(gens, i, degree_cap) for i in range(ctx.n)]
+    parts = [colon_by_variable_power(gens, i) for i in range(ctx.n)]
     result: list[Polynomial] | None = None
     unit = [Polynomial.constant(ctx, 1)]
 
@@ -657,10 +655,10 @@ def elimination_saturate(gens: Sequence[Polynomial],
         if result is None:
             result = part
         else:
-            result = intersect_ideals(result, part, ctx, degree_cap)
+            result = intersect_ideals(result, part, ctx)
     if result is None:
         result = unit
-    return GroebnerBasis(ctx, GREVLEX, buchberger(result, GREVLEX, degree_cap))
+    return GroebnerBasis(ctx, GREVLEX, buchberger(result, GREVLEX))
 
 
 # ---------------------------------------------------------------------------
@@ -673,20 +671,19 @@ def _permute(p: Polynomial, perm: Sequence[int]) -> Polynomial:
     return Polynomial(p.context, {tuple(e[i] for i in perm): c for e, c in p.terms.items()})
 
 
-def _revlex_colon(gens: Sequence[Polynomial], degree_cap: int) -> list[Polynomial]:
+def _revlex_colon(gens: Sequence[Polynomial]) -> list[Polynomial]:
     """Groebner basis of I : x_n^infinity for homogeneous I (Bayer-Stillman):
     x_n is the smallest variable in grevlex, so it is a grevlex basis of I
     with each element divided by its largest power of x_n."""
     out = []
-    for g in buchberger(gens, GREVLEX, degree_cap):
+    for g in buchberger(gens, GREVLEX):
         low = min(e[-1] for e in g.terms)
         out.append(Polynomial(g.context, {e[:-1] + (e[-1] - low,): c
                                           for e, c in g.terms.items()}))
     return out
 
 
-def colon_saturate(gens: Sequence[Polynomial],
-                   degree_cap: int = DEFAULT_DEGREE_CAP) -> GroebnerBasis:
+def colon_saturate(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """Saturation of a homogeneous ideal by the irrelevant ideal (x1..xn).
 
     The saturation is the meet of the colons C_i = I : x_i^infinity and
@@ -708,17 +705,17 @@ def colon_saturate(gens: Sequence[Polynomial],
         g.homogeneous_degree()  # raises HomogeneityError when inhomogeneous
     n = ctx.n
     perms = [[j for j in range(n) if j != i] + [i] for i in range(n)]  # x_i last
-    colons = [(p, _revlex_colon([_permute(g, p) for g in gens], degree_cap)) for p in perms]
+    colons = [(p, _revlex_colon([_permute(g, p) for g in gens])) for p in perms]
     for j in count(1):
         ell = [Fraction(j) ** (i + 1) for i in range(n)]
         # x = A y makes l the last coordinate y_n, and y = B x undoes it
         B = [[Fraction(int(a == b)) for b in range(n)] for a in range(n - 1)] + [ell]
         A = B[:-1] + [[-c / ell[-1] for c in ell[:-1]] + [1 / ell[-1]]]
         J = [compose_linear(h, B)
-             for h in _revlex_colon([compose_linear(g, A) for g in gens], degree_cap)]
+             for h in _revlex_colon([compose_linear(g, A) for g in gens])]
         if not any(reduce_poly(_permute(h, p), basis, GREVLEX)
                    for p, basis in colons for h in J):
-            return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX, degree_cap))
+            return GroebnerBasis(ctx, GREVLEX, buchberger(J, GREVLEX))
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +829,10 @@ def is_zero_ideal(gb: GroebnerBasis) -> bool:
     return not gb.polys
 
 
+def is_unit_ideal(gb: GroebnerBasis) -> bool:
+    return len(gb.polys) == 1 and gb.polys[0].degree() == 0
+
+
 def polarize(p: Polynomial, vectors: Sequence[Sequence]) -> Fraction:
     """Full polarization: contract a degree-k form by exactly k vectors."""
     if p.is_zero():
@@ -902,7 +903,7 @@ def pairset_s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> 
 
 
 def pairset_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-                       degree_cap: int = DEFAULT_DEGREE_CAP) -> list[Polynomial]:
+                       degree_cap: int = DEGREE_CAP) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by gens."""
     basis = []
     for g in sorted((g for g in gens if not g.is_zero()),
@@ -937,7 +938,7 @@ def pairset_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLE
         if sum(lcm) > degree_cap:
             raise DegreeCapExceeded(
                 f"S-pair degree {sum(lcm)} exceeds the cap {degree_cap}; "
-                "raise degree_cap if this ideal is really wanted")
+                "raise groebner.DEGREE_CAP if this ideal is really wanted")
         rem = pairset_reduce_poly(pairset_s_polynomial(basis[i], basis[j], order),
                                   basis, order)
         if rem.is_zero():

@@ -12,6 +12,7 @@ from math import comb
 
 from eulersym import (
     FormSpace,
+    GroebnerBasis,
     Parametrization,
     Polynomial,
     ProjectivePoint,
@@ -62,7 +63,7 @@ def test_criterion_01_scroll_regression():
     x2 = Polynomial.variable(ctx, 1)
     x3 = Polynomial.variable(ctx, 2)
     s = _bundled("epr.sys")
-    sat = saturate_ideal(list(s.component(2).basis))
+    sat = saturate_ideal(GroebnerBasis.of(list(s.component(2).basis), s.context))
     from eulersym.systems import prolong
     p2 = prolong(s.component(2))
     res = is_saturated(s)

@@ -258,6 +258,19 @@ def test_implicitize_degree_cap_exits_2(capsys):
                    "exceed the cap 5000\n")
 
 
+@pytest.mark.parametrize("argv", [("order", "triple.sys"), ("saturated", "epr.sys"),
+                                  ("baselocus", "epr.sys")])
+def test_groebner_degree_cap_exits_2(monkeypatch, capsys, argv):
+    # every F^2 here has an S-pair of degree 3, so a cap of 2 stops the
+    # first completion, before any report line is printed
+    monkeypatch.setattr(eulersym.groebner, "DEGREE_CAP", 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: S-pair degree 3 exceeds the cap 2; "
+                   "raise groebner.DEGREE_CAP if this ideal is really wanted\n")
+
+
 BAD_FILES = {
     "zero-denominator-at": ("bad.par", b"vars: z\ncoords: z, z^2\nat: 1/0\n",
                             ["ff", "FILE"], "line 3, col 7: zero denominator"),

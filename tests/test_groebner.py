@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eulersym import (
+    ContextMismatchError,
     DegreeCapExceeded,
     FormSpace,
     GroebnerBasis,
@@ -27,13 +28,17 @@ import helpers
 from eulersym.cli import bundled_text
 from eulersym.specfiles import system_from_file
 from helpers import (block_order, colon_by_variable_power, colon_saturate, elimination_saturate,
-                     intersect_ideals, is_zero_ideal, pairset_buchberger, pairset_reduce_poly,
-                     random_poly, segre_dense, segre_monomial)
+                     intersect_ideals, is_unit_ideal, is_zero_ideal, pairset_buchberger,
+                     pairset_reduce_poly, random_poly, segre_dense, segre_monomial)
 
 CTX = context("x1", "x2", "x3")
 X1 = Polynomial.variable(CTX, 0)
 X2 = Polynomial.variable(CTX, 1)
 X3 = Polynomial.variable(CTX, 2)
+
+
+def _basis(gens):
+    return GroebnerBasis.of(gens, gens[0].context)
 
 
 def test_buchberger_known_basis():
@@ -53,17 +58,31 @@ def test_reduction_is_zero_exactly_on_members():
 
 def test_unit_and_zero_ideals():
     one = GroebnerBasis.of([Polynomial.constant(CTX, 3)], CTX)
-    assert one.is_unit_ideal()
+    assert is_unit_ideal(one)
     empty = GroebnerBasis.of([], CTX)
     assert is_zero_ideal(empty)
 
 
-def test_degree_cap_guard():
+def test_degree_cap_guard(monkeypatch):
     # the leading monomials share variables, so the coprime criterion
     # cannot discard the pair and the cap has to fire
+    monkeypatch.setattr(eulersym.groebner, "DEGREE_CAP", 3)
     with pytest.raises(DegreeCapExceeded):
-        buchberger([X1**2 * X2 - X3**3, X1 * X2**2 - X3**3],
-                   GREVLEX, degree_cap=3)
+        buchberger([X1**2 * X2 - X3**3, X1 * X2**2 - X3**3], GREVLEX)
+
+
+def test_a_basis_checks_its_context():
+    # unchecked, is_zero_dimensional read a basis over (x, y) against the
+    # context (a, b, c) past its exponents, and against (u, v) answered True
+    xy = context("x", "y")
+    x, y = (Polynomial.variable(xy, i) for i in range(2))
+    with pytest.raises(ContextMismatchError) as exc:
+        is_zero_dimensional(GroebnerBasis.of([x**2, y**2], context("a", "b", "c")))
+    assert str(exc.value) == "incompatible variable lists: (x y) vs (a b c)"
+    with pytest.raises(ContextMismatchError):
+        GroebnerBasis.of([x**2, y**2], context("u", "v"))
+    with pytest.raises(ContextMismatchError):
+        GroebnerBasis(CTX, GREVLEX, (x**2,))
 
 
 def test_colon_and_intersection():
@@ -80,7 +99,7 @@ def test_successive_colons_are_not_saturation():
     first = colon_by_variable_power([X1 * X2], 0)
     second = colon_by_variable_power(first, 1)
     assert len(second) == 1 and second[0].degree() == 0
-    sat = saturate_ideal([X1 * X2])
+    sat = saturate_ideal(_basis([X1 * X2]))
     assert [str(g) for g in sat.polys] == ["x1*x2"]
 
 
@@ -103,7 +122,7 @@ def _random_ideal(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_saturation_matches_the_elimination_oracle(seed):
     gens = _random_ideal(seed)
-    assert saturate_ideal(gens) == elimination_saturate(gens)
+    assert saturate_ideal(_basis(gens)) == elimination_saturate(gens)
 
 
 def test_saturation_needs_a_second_linear_form():
@@ -111,7 +130,7 @@ def test_saturation_needs_a_second_linear_form():
     # ideal, which fails certification, and l_2 gives the saturation (l)
     ell = X1 + X2 + X3
     gens = [ell * X1, ell * X2, ell * X3]
-    sat = saturate_ideal(gens)
+    sat = saturate_ideal(_basis(gens))
     assert [str(g) for g in sat.polys] == ["x1 + x2 + x3"]
     assert sat == elimination_saturate(gens)
 
@@ -141,13 +160,13 @@ def test_saturation_matches_the_colon_oracle(case):
     # the leading-monomial certificate accepts the same l_j as the former
     # test of J against every colon I : x_i^inf, so the bases are equal
     gens = COLON_CASES[case]()
-    sat = saturate_ideal(gens)
+    sat = saturate_ideal(_basis(gens))
     assert sat == colon_saturate(gens)
     assert [str(g) for g in sat.polys] == [str(g) for g in colon_saturate(gens).polys]
 
 
 def test_saturation_of_a_square_in_one_variable_is_the_unit_ideal():
-    assert saturate_ideal([X**2]).is_unit_ideal()
+    assert is_unit_ideal(saturate_ideal(_basis([X**2])))
 
 
 def _buchberger_runs(monkeypatch, saturate, gens):
@@ -165,11 +184,13 @@ def _buchberger_runs(monkeypatch, saturate, gens):
 
 
 def test_saturation_runs_one_completion_per_linear_form_and_one_more(monkeypatch):
+    # the input basis is completed before counting: for triple.sys J = I,
+    # so the l_1 run is the only one
     f2 = list(system_from_file(bundled_text("triple.sys")).component(2).basis)
-    assert _buchberger_runs(monkeypatch, saturate_ideal, f2) == 2
+    assert _buchberger_runs(monkeypatch, saturate_ideal, _basis(f2)) == 1
     assert _buchberger_runs(monkeypatch, colon_saturate, f2) == 5
     triple_fail = COLON_CASES["l1*l2*m"]()
-    assert _buchberger_runs(monkeypatch, saturate_ideal, triple_fail) == 4
+    assert _buchberger_runs(monkeypatch, saturate_ideal, _basis(triple_fail)) == 4
     assert _buchberger_runs(monkeypatch, colon_saturate, triple_fail) == 7
 
 
@@ -177,51 +198,63 @@ CAPPED = [X1**2 * X2, X2**3 + X3**3, X1 * X3**2]
 
 
 @pytest.mark.parametrize("cap, degree", [(2, 3), (3, 4), (4, 5), (5, 6)])
-def test_saturation_degree_cap_fires_where_the_colon_oracle_fired(cap, degree):
+def test_saturation_degree_cap_fires_where_the_colon_oracle_fired(monkeypatch, cap, degree):
     # the first over-cap S-pair comes from the l_1-frame completion;
     # colon_saturate runs that completion too (after the n colons, which
     # stop it at degree 5 for caps 2 to 4), so its cap fires as well
+    capped = _basis(CAPPED)
+    monkeypatch.setattr(eulersym.groebner, "DEGREE_CAP", cap)
     with pytest.raises(DegreeCapExceeded) as exc:
-        saturate_ideal(CAPPED, degree_cap=cap)
+        saturate_ideal(capped)
     assert str(exc.value) == (f"S-pair degree {degree} exceeds the cap {cap}; "
-                              "raise degree_cap if this ideal is really wanted")
+                              "raise groebner.DEGREE_CAP if this ideal is really wanted")
     with pytest.raises(DegreeCapExceeded):
-        colon_saturate(CAPPED, degree_cap=cap)
+        colon_saturate(CAPPED)
 
 
-def test_saturation_just_under_the_cap_matches_the_colon_oracle():
-    sat = saturate_ideal(CAPPED, degree_cap=6)
+def test_saturation_just_under_the_cap_matches_the_colon_oracle(monkeypatch):
+    capped = _basis(CAPPED)
+    monkeypatch.setattr(eulersym.groebner, "DEGREE_CAP", 6)
+    sat = saturate_ideal(capped)
     assert [str(g) for g in sat.polys] == ["x2^3 + x3^3", "x1*x3^2", "x1*x2"]
-    assert sat == colon_saturate(CAPPED, degree_cap=6)
+    assert sat == colon_saturate(CAPPED)
 
 
 def test_saturation_of_multiple_generators():
-    sat = saturate_ideal([X1**2, X1 * X2, X1 * X3])
+    sat = saturate_ideal(_basis([X1**2, X1 * X2, X1 * X3]))
     assert [str(g) for g in sat.polys] == ["x1"]
 
 
 def test_saturate_rejects_bad_input():
     with pytest.raises(ValueError):
-        saturate_ideal([])
+        saturate_ideal(GroebnerBasis.of([], CTX))
     with pytest.raises(HomogeneityError):
-        saturate_ideal([X1 + 1])
+        saturate_ideal(_basis([X1 + 1]))
+    with pytest.raises(ValueError):
+        saturate_ideal(GroebnerBasis.of([X1**2, X1 * X2], CTX, LEX))
 
 
 def test_zero_dimensionality():
-    full = FormSpace.span([X1, X2, X3])
-    assert is_zero_dimensional(full)
-    hyperplane = FormSpace.span([X1])
-    assert not is_zero_dimensional(hyperplane)
-    assert not is_zero_dimensional(FormSpace.zero(CTX, 2))
-    powers = FormSpace.span([X1**2, X2**2, X3**2, X1 * X2, X1 * X3, X2 * X3])
+    assert is_zero_dimensional(_basis([X1, X2, X3]))
+    assert not is_zero_dimensional(_basis([X1]))
+    assert not is_zero_dimensional(GroebnerBasis.of([], CTX))
+    powers = _basis([X1**2, X2**2, X3**2, X1 * X2, X1 * X3, X2 * X3])
     assert is_zero_dimensional(powers)
 
 
 def test_graded_component():
-    sat = saturate_ideal([X1**2, X1 * X2, X1 * X3])
+    sat = saturate_ideal(_basis([X1**2, X1 * X2, X1 * X3]))
     piece = graded_component(sat, 2)
     assert piece == FormSpace.span([X1**2, X1 * X2, X1 * X3])
     assert graded_component(sat, 1) == FormSpace.span([X1])
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_graded_component_of_the_unit_and_zero_ideals(degree):
+    # no shortcut for the unit ideal: 1 times the degree-d monomials spans them all
+    unit = GroebnerBasis.of([Polynomial.constant(CTX, 5)], CTX)
+    assert graded_component(unit, degree) == FormSpace.full(CTX, degree)
+    assert graded_component(GroebnerBasis.of([], CTX), degree) == FormSpace.zero(CTX, degree)
 
 
 def test_saturation_against_independent_fixpoint_oracle():
@@ -260,9 +293,9 @@ def _sparse_ideal(seed):
     return ctx, [poly() for _ in range(rng.randint(1, 3))], [poly() for _ in range(3)]
 
 
-def _basis_or_error(algorithm, gens, order, cap):
+def _basis_or_error(algorithm, *args):
     try:
-        return algorithm(gens, order, cap)
+        return algorithm(*args)
     except DegreeCapExceeded as exc:
         return f"DegreeCapExceeded: {exc}"
 
@@ -276,7 +309,7 @@ ORDERS = {"grevlex": GREVLEX, "lex": LEX, "block1": block_order(1), "block2": bl
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
 @pytest.mark.parametrize("seed", range(60))
-def test_buchberger_matches_the_pairset_oracle(seed, order):
+def test_buchberger_matches_the_pairset_oracle(monkeypatch, seed, order):
     # the heap, the lead cache and the dict-level normal form must follow
     # the former pair trajectory exactly: same bases, same reductions, and
     # the same DegreeCapExceeded message where the cap stops both (a cap of
@@ -284,7 +317,8 @@ def test_buchberger_matches_the_pairset_oracle(seed, order):
     ctx, gens, probes = _sparse_ideal(seed)
     order = ORDERS[order]
     cap = _cap(seed)
-    got = _basis_or_error(buchberger, gens, order, cap)
+    monkeypatch.setattr(eulersym.groebner, "DEGREE_CAP", cap)
+    got = _basis_or_error(buchberger, gens, order)
     want = _basis_or_error(pairset_buchberger, gens, order, cap)
     assert got == want
     if isinstance(got, list):
@@ -294,10 +328,12 @@ def test_buchberger_matches_the_pairset_oracle(seed, order):
             assert reduce_poly(p, modulo, order) == pairset_reduce_poly(p, modulo, order)
 
 
-def test_the_oracle_cases_include_capped_ones():
-    capped = [seed for seed in range(60)
-              if isinstance(_basis_or_error(buchberger, _sparse_ideal(seed)[1],
-                                            GREVLEX, _cap(seed)), str)]
+def test_the_oracle_cases_include_capped_ones(monkeypatch):
+    capped = []
+    for seed in range(60):
+        monkeypatch.setattr(eulersym.groebner, "DEGREE_CAP", _cap(seed))
+        if isinstance(_basis_or_error(buchberger, _sparse_ideal(seed)[1], GREVLEX), str):
+            capped.append(seed)
     assert len(capped) >= 3
 
 
